@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: query
-// sampling, incremental score updates, top-k selection, sorting-network
-// generation/application, dense matvec (the AMP inner loop), channel
-// measurement, and the end-to-end required-queries protocol at small n.
+// sampling, pooling-graph construction, incremental score updates, top-k
+// selection, sorting-network generation/application, dense matvec (the
+// AMP inner loop), channel measurement, and the end-to-end
+// required-queries protocol at small n.
 
 #include <benchmark/benchmark.h>
 
@@ -35,6 +36,27 @@ void BM_SampleQuery(benchmark::State& state) {
                           design.gamma);
 }
 BENCHMARK(BM_SampleQuery)->Arg(1000)->Arg(10000);
+
+// Whole-graph construction with replacement: args are (n, m, Γ).  The
+// dense row is the paper's design (Γ = n/2) at fig6's largest m; the
+// sparse row (Γ = 8 ≪ n = 100000) costs O(m·Γ) edges, so any O(n) work
+// per query (a full tally or bitmap scan) would dominate it.
+void BM_MakePoolingGraph(benchmark::State& state) {
+  const auto n = static_cast<Index>(state.range(0));
+  const auto m = static_cast<Index>(state.range(1));
+  const pooling::QueryDesign design{.gamma = static_cast<Index>(state.range(2)),
+                                    .mode = pooling::SamplingMode::WithReplacement};
+  rand::Rng rng(9);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pooling::make_pooling_graph(n, m, design, rng));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * m *
+                          design.gamma);
+}
+BENCHMARK(BM_MakePoolingGraph)
+    ->Args({1000, 600, 500})
+    ->Args({100000, 2000, 8})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ScoreStateApplyQuery(benchmark::State& state) {
   const auto n = static_cast<Index>(state.range(0));

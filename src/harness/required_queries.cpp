@@ -44,9 +44,10 @@ RequiredQueriesResult required_queries_for_truth(
                 "protocol needs 1 <= k < n for a meaningful separation");
 
   core::ScoreState scores(n, truth.k(), options.centering);
-  std::vector<Index> sampled;
+  std::vector<Index> sampled;  // one buffer, reused by every query
   for (Index m = 1; m <= options.max_queries; ++m) {
-    sampled = pooling::sample_query(design, n, rng);
+    sampled.clear();
+    pooling::sample_query(design, n, rng, sampled);
     const double result = channel.measure(sampled, truth.bits, rng);
     scores.apply_query(sampled, result);
     if (m % options.check_interval == 0 && scores_separate(scores, truth)) {

@@ -1,6 +1,8 @@
 #include "pooling/pooling_graph.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 
@@ -57,41 +59,96 @@ PoolingGraphBuilder::PoolingGraphBuilder(Index n) : n_(n) {
   NPD_CHECK_MSG(n > 0, "graph needs at least one agent");
   graph_.n_ = n;
   graph_.delta_.assign(static_cast<std::size_t>(n), 0);
+  tally_.assign(static_cast<std::size_t>(n), 0);
+  seen_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
+}
+
+void PoolingGraphBuilder::reserve(Index queries, Index edges) {
+  NPD_CHECK(queries >= 0 && edges >= 0);
+  const auto q = graph_.query_offsets_.size() + static_cast<std::size_t>(queries);
+  graph_.query_offsets_.reserve(q);
+  graph_.distinct_offsets_.reserve(q);
+  // A query has at most as many distinct agents as edges, so the edge
+  // count bounds the distinct arrays too.
+  graph_.query_agents_.reserve(graph_.query_agents_.size() +
+                               static_cast<std::size_t>(edges));
+  graph_.distinct_agents_.reserve(graph_.distinct_agents_.size() +
+                                  static_cast<std::size_t>(edges));
+  graph_.distinct_counts_.reserve(graph_.distinct_counts_.size() +
+                                  static_cast<std::size_t>(edges));
 }
 
 Index PoolingGraphBuilder::add_query(std::span<const Index> sampled_agents) {
   NPD_CHECK_MSG(!sampled_agents.empty(), "query must sample at least one agent");
-
+  // One range check over the whole span, before anything is mutated: the
+  // unsigned compare folds `agent < 0` into `agent >= n`.
+  bool in_range = true;
   for (const Index agent : sampled_agents) {
-    NPD_CHECK_MSG(agent >= 0 && agent < n_, "agent id out of range");
-    graph_.query_agents_.push_back(agent);
-    ++graph_.delta_[static_cast<std::size_t>(agent)];
+    in_range &= static_cast<std::uint64_t>(agent) <
+                static_cast<std::uint64_t>(n_);
   }
-  graph_.query_offsets_.push_back(
-      static_cast<Index>(graph_.query_agents_.size()));
+  NPD_CHECK_MSG(in_range, "agent id out of range");
 
-  // Deduplicate into (agent, multiplicity), sorted by agent id.
-  std::vector<Index> sorted(sampled_agents.begin(), sampled_agents.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (std::size_t i = 0; i < sorted.size();) {
-    std::size_t run = i;
-    while (run < sorted.size() && sorted[run] == sorted[i]) {
-      ++run;
-    }
-    graph_.distinct_agents_.push_back(sorted[i]);
-    graph_.distinct_counts_.push_back(static_cast<Index>(run - i));
-    i = run;
-  }
-  graph_.distinct_offsets_.push_back(
-      static_cast<Index>(graph_.distinct_agents_.size()));
-
-  return static_cast<Index>(graph_.query_offsets_.size()) - 2;
+  const std::size_t begin = graph_.query_agents_.size();
+  graph_.query_agents_.insert(graph_.query_agents_.end(),
+                              sampled_agents.begin(), sampled_agents.end());
+  return close_query(begin);
 }
 
 Index PoolingGraphBuilder::add_random_query(const QueryDesign& design,
                                             rand::Rng& rng) {
-  const auto sampled = sample_query(design, n_, rng);
-  return add_query(sampled);
+  // The sampler validates the design before its first draw and emits only
+  // agents in [0, n), so the appended edges need no further check.
+  const std::size_t begin = graph_.query_agents_.size();
+  sample_query(design, n_, rng, graph_.query_agents_);
+  return close_query(begin);
+}
+
+Index PoolingGraphBuilder::close_query(std::size_t begin) {
+  const std::size_t end = graph_.query_agents_.size();
+  const Index* edges = graph_.query_agents_.data();
+  Index* delta = graph_.delta_.data();
+  Index* tally = tally_.data();
+  std::uint64_t* seen = seen_.data();
+  for (std::size_t e = begin; e < end; ++e) {
+    const auto agent = static_cast<std::size_t>(edges[e]);
+    ++delta[agent];
+    ++tally[agent];
+    std::uint64_t& word = seen[agent / 64];
+    if (word == 0) {
+      touched_.push_back(agent / 64);
+    }
+    word |= std::uint64_t{1} << (agent % 64);
+  }
+  graph_.query_offsets_.push_back(static_cast<Index>(end));
+
+  // Ascending words, ascending bits within a word: distinct agents come
+  // out sorted, exactly as a sort-and-run-length dedup would give them.
+  std::sort(touched_.begin(), touched_.end());
+  std::size_t distinct = 0;
+  for (const std::size_t w : touched_) {
+    distinct += static_cast<std::size_t>(std::popcount(seen[w]));
+  }
+  const std::size_t base = graph_.distinct_agents_.size();
+  graph_.distinct_agents_.resize(base + distinct);
+  graph_.distinct_counts_.resize(base + distinct);
+  Index* out_agent = graph_.distinct_agents_.data() + base;
+  Index* out_count = graph_.distinct_counts_.data() + base;
+  for (const std::size_t w : touched_) {
+    for (std::uint64_t bits = seen[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t agent =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      *out_agent++ = static_cast<Index>(agent);
+      *out_count++ = tally[agent];
+      tally[agent] = 0;
+    }
+    seen[w] = 0;
+  }
+  touched_.clear();
+  graph_.distinct_offsets_.push_back(
+      static_cast<Index>(graph_.distinct_agents_.size()));
+
+  return static_cast<Index>(graph_.query_offsets_.size()) - 2;
 }
 
 Index PoolingGraphBuilder::num_queries_so_far() const {
@@ -102,28 +159,34 @@ PoolingGraph PoolingGraphBuilder::build() {
   const Index m = num_queries_so_far();
   const auto n = static_cast<std::size_t>(n_);
 
-  // Counting pass over distinct incidences, then prefix sums, then fill —
-  // the classic two-pass CSR transpose.
-  std::vector<Index> counts(n, 0);
+  // CSR transpose in place of agent_offsets_, with no n-sized temporaries:
+  // count each agent's distinct queries, turn the counts into start
+  // offsets, fill while advancing each agent's start as its cursor (so it
+  // ends on the next agent's start), then shift the offsets back one slot.
+  auto& offsets = graph_.agent_offsets_;
+  offsets.assign(n + 1, 0);
   for (Index j = 0; j < m; ++j) {
     for (const Index agent : graph_.query_distinct(j)) {
-      ++counts[static_cast<std::size_t>(agent)];
+      ++offsets[static_cast<std::size_t>(agent)];
     }
   }
-  graph_.agent_offsets_.assign(n + 1, 0);
+  Index total = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    graph_.agent_offsets_[i + 1] = graph_.agent_offsets_[i] + counts[i];
+    const Index count = offsets[i];
+    offsets[i] = total;
+    total += count;
   }
-  graph_.agent_query_ids_.assign(
-      static_cast<std::size_t>(graph_.agent_offsets_[n]), 0);
-  std::vector<Index> cursor(graph_.agent_offsets_.begin(),
-                            graph_.agent_offsets_.end() - 1);
+  graph_.agent_query_ids_.resize(static_cast<std::size_t>(total));
   for (Index j = 0; j < m; ++j) {
     for (const Index agent : graph_.query_distinct(j)) {
       graph_.agent_query_ids_[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(agent)]++)] = j;
+          offsets[static_cast<std::size_t>(agent)]++)] = j;
     }
   }
+  for (std::size_t i = n; i > 0; --i) {
+    offsets[i] = offsets[i - 1];
+  }
+  offsets[0] = 0;
   // Query ids were appended in ascending j, so each agent's list is sorted.
 
   PoolingGraph result = std::move(graph_);
@@ -137,6 +200,7 @@ PoolingGraph make_pooling_graph(Index n, Index m, const QueryDesign& design,
                                 rand::Rng& rng) {
   NPD_CHECK(m >= 0);
   PoolingGraphBuilder builder(n);
+  builder.reserve(m, m * std::max<Index>(design.gamma, 0));
   for (Index j = 0; j < m; ++j) {
     (void)builder.add_random_query(design, rng);
   }
@@ -203,6 +267,7 @@ PoolingGraph make_doubly_regular_graph(Index n, Index m, Index delta,
   const Index gamma = edges / m;
   const Index extra = edges % m;
   PoolingGraphBuilder builder(n);
+  builder.reserve(m, edges);
   std::size_t cursor = 0;
   for (Index j = 0; j < m; ++j) {
     const auto size =

@@ -17,6 +17,7 @@
 /// Degrees Δ_i (with multiplicity) and Δ*_i (distinct) are precomputed —
 /// they are exactly the quantities of Lemmas 3 and 4.
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -92,14 +93,30 @@ class PoolingGraph {
 /// Incremental builder: queries are added one at a time — exactly the
 /// paper's measurement protocol ("we simulate one query node after the
 /// other in a sequential manner").
+///
+/// Each query's multiset is deduplicated by a census rather than a sort:
+/// one pass over its Γ edges bumps an n-sized tally and sets a bit in an
+/// ⌈n/64⌉-word "seen" bitmap, remembering each word the first time it
+/// turns non-zero; the w touched words are then sorted and walked with
+/// `countr_zero`, emitting distinct agents in ascending order and zeroing
+/// the tally and the bits behind them.  A query costs O(Γ + w log w) with
+/// w ≤ min(Γ, ⌈n/64⌉) — no O(n) term, so sparse designs (Γ ≪ n) stay
+/// cheap — and the scratch is all-zero again between queries.
 class PoolingGraphBuilder {
  public:
   explicit PoolingGraphBuilder(Index n);
 
+  /// Reserve room for `queries` more queries holding `edges` more edges
+  /// (with multiplicity), so the CSR arrays never reallocate.
+  void reserve(Index queries, Index edges);
+
   /// Append one query given its sampled multiset; returns the query id.
+  /// Strong guarantee: an empty query or an agent outside [0, n) throws
+  /// `ContractViolation` before the builder changes.
   Index add_query(std::span<const Index> sampled_agents);
 
-  /// Sample and append one query using `design`; returns the query id.
+  /// Sample one query using `design` straight into the edge array and
+  /// append it; returns the query id.  Same draws as `sample_query`.
   Index add_random_query(const QueryDesign& design, rand::Rng& rng);
 
   [[nodiscard]] Index num_queries_so_far() const;
@@ -109,8 +126,18 @@ class PoolingGraphBuilder {
   [[nodiscard]] PoolingGraph build();
 
  private:
+  /// Census-dedup the already appended, range-checked edges
+  /// `query_agents_[begin, end)` into the distinct CSR, bump Δ, and close
+  /// the query.  Returns its id.
+  Index close_query(std::size_t begin);
+
   Index n_;
   PoolingGraph graph_;
+  // Census scratch, all-zero between queries: per-agent multiplicity,
+  // "seen" bitmap (bit i of word i/64), and the words set by this query.
+  std::vector<Index> tally_;
+  std::vector<std::uint64_t> seen_;
+  std::vector<std::size_t> touched_;
 };
 
 /// Convenience: the full random graph of the paper's model — `m` queries,

@@ -75,9 +75,17 @@ struct GraphDesign {
 [[nodiscard]] QueryDesign fractional_design(Index n, double gamma_fraction,
                                             SamplingMode mode);
 
-/// Sample the multiset of agents for one query node.  The result has
-/// exactly `design.gamma` entries (with possible duplicates when sampling
-/// with replacement) in sampling order.
+/// Sample the multiset of agents for one query node and append it to
+/// `out`: exactly `design.gamma` entries (with possible duplicates when
+/// sampling with replacement; a Binomial count for Bernoulli) in sampling
+/// order.  Every design is validated before the first draw, so a
+/// rejected design leaves `out` and `rng` untouched.  Callers that sample
+/// many queries reuse one buffer (or append straight into a graph's edge
+/// array) instead of allocating per query.
+void sample_query(const QueryDesign& design, Index n, rand::Rng& rng,
+                  std::vector<Index>& out);
+
+/// Returning form of the appending `sample_query`: same draws, same order.
 [[nodiscard]] std::vector<Index> sample_query(const QueryDesign& design,
                                               Index n, rand::Rng& rng);
 

@@ -92,15 +92,13 @@ std::vector<Index> sample_without_replacement(Rng& rng, Index n, Index k) {
   return result;
 }
 
-std::vector<Index> sample_with_replacement(Rng& rng, Index n, Index k) {
+void sample_with_replacement(Rng& rng, Index n, Index k,
+                             std::vector<Index>& out) {
   NPD_CHECK(n > 0);
   NPD_CHECK(k >= 0);
-  std::vector<Index> result;
-  result.reserve(static_cast<std::size_t>(k));
   for (Index i = 0; i < k; ++i) {
-    result.push_back(rng.uniform_index(n));
+    out.push_back(rng.uniform_index(n));
   }
-  return result;
 }
 
 void shuffle(Rng& rng, std::vector<Index>& items) {

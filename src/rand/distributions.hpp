@@ -34,10 +34,11 @@ namespace npd::rand {
                                                             Index k);
 
 /// Uniform random multiset of size `k` from `{0, ..., n-1}` with
-/// replacement (the paper's query sampling primitive).  Order is the
+/// replacement (the paper's query sampling primitive), appended to `out`
+/// so a caller sampling many queries reuses one buffer.  Order is the
 /// sampling order; duplicates possible.
-[[nodiscard]] std::vector<Index> sample_with_replacement(Rng& rng, Index n,
-                                                         Index k);
+void sample_with_replacement(Rng& rng, Index n, Index k,
+                             std::vector<Index>& out);
 
 /// Uniformly shuffle `items` in place (Fisher–Yates).
 void shuffle(Rng& rng, std::vector<Index>& items);

@@ -6,7 +6,10 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "pooling/ground_truth.hpp"
 #include "pooling/pooling_graph.hpp"
@@ -17,6 +20,92 @@ namespace npd::pooling {
 namespace {
 
 rand::Rng test_rng(std::uint64_t tag = 0) { return rand::Rng(0xBADC0FFEE + tag); }
+
+// Every CSR view of a pooling graph, as plain vectors, so two graphs (or a
+// graph and the reference below) compare with readable gtest diffs.
+struct GraphViews {
+  Index n = 0;
+  std::vector<std::vector<Index>> multiset;
+  std::vector<std::vector<Index>> distinct;
+  std::vector<std::vector<Index>> multiplicity;
+  std::vector<std::vector<Index>> agent_queries;
+  std::vector<Index> delta;
+  std::vector<Index> delta_star;
+};
+
+std::vector<Index> to_vector(std::span<const Index> view) {
+  return {view.begin(), view.end()};
+}
+
+GraphViews views_of(const PoolingGraph& g) {
+  GraphViews v;
+  v.n = g.num_agents();
+  for (Index j = 0; j < g.num_queries(); ++j) {
+    v.multiset.push_back(to_vector(g.query_multiset(j)));
+    v.distinct.push_back(to_vector(g.query_distinct(j)));
+    v.multiplicity.push_back(to_vector(g.query_multiplicity(j)));
+  }
+  for (Index i = 0; i < g.num_agents(); ++i) {
+    v.agent_queries.push_back(to_vector(g.agent_queries(i)));
+    v.delta.push_back(g.delta(i));
+    v.delta_star.push_back(g.delta_star(i));
+  }
+  return v;
+}
+
+// Reference oracle: the sort-based dedup the builder used before its
+// census — copy each multiset, sort it, run-length encode the runs — plus
+// a naive agent-side transpose.
+GraphViews reference_views(Index n,
+                           const std::vector<std::vector<Index>>& multisets) {
+  GraphViews v;
+  v.n = n;
+  v.multiset = multisets;
+  v.agent_queries.assign(static_cast<std::size_t>(n), {});
+  v.delta.assign(static_cast<std::size_t>(n), 0);
+  for (std::size_t j = 0; j < multisets.size(); ++j) {
+    std::vector<Index> sorted = multisets[j];
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<Index> distinct;
+    std::vector<Index> counts;
+    for (std::size_t i = 0; i < sorted.size();) {
+      std::size_t run = i;
+      while (run < sorted.size() && sorted[run] == sorted[i]) {
+        ++run;
+      }
+      distinct.push_back(sorted[i]);
+      counts.push_back(static_cast<Index>(run - i));
+      v.agent_queries[static_cast<std::size_t>(sorted[i])].push_back(
+          static_cast<Index>(j));
+      v.delta[static_cast<std::size_t>(sorted[i])] +=
+          static_cast<Index>(run - i);
+      i = run;
+    }
+    v.distinct.push_back(std::move(distinct));
+    v.multiplicity.push_back(std::move(counts));
+  }
+  for (const auto& queries : v.agent_queries) {
+    v.delta_star.push_back(static_cast<Index>(queries.size()));
+  }
+  return v;
+}
+
+void expect_same_views(const GraphViews& got, const GraphViews& want) {
+  EXPECT_EQ(got.n, want.n);
+  EXPECT_EQ(got.multiset, want.multiset);
+  EXPECT_EQ(got.distinct, want.distinct);
+  EXPECT_EQ(got.multiplicity, want.multiplicity);
+  EXPECT_EQ(got.agent_queries, want.agent_queries);
+  EXPECT_EQ(got.delta, want.delta);
+  EXPECT_EQ(got.delta_star, want.delta_star);
+}
+
+/// The graph's derived views must equal the reference dedup of its own
+/// multisets (for families whose multisets only the builder knows).
+void expect_matches_reference(const PoolingGraph& g) {
+  const GraphViews got = views_of(g);
+  expect_same_views(got, reference_views(g.num_agents(), got.multiset));
+}
 
 // ----------------------------------------------------------- ground truth
 
@@ -330,6 +419,22 @@ TEST(PoolingGraphTest, BuilderRejectsBadAgents) {
                ContractViolation);
   EXPECT_THROW((void)builder.add_query(std::vector<Index>{}),
                ContractViolation);
+  // A bad agent after valid ones must not leave the valid prefix behind.
+  EXPECT_THROW((void)builder.add_query(std::vector<Index>{0, 9}),
+               ContractViolation);
+  EXPECT_THROW((void)builder.add_query(std::vector<Index>{3, 3, -1}),
+               ContractViolation);
+  EXPECT_EQ(builder.num_queries_so_far(), 0);
+
+  // Strong guarantee: the rejected queries left no trace, so the next
+  // valid query builds the same graph a fresh builder does.
+  const std::vector<Index> valid{1, 3, 1};
+  EXPECT_EQ(builder.add_query(valid), 0);
+  const PoolingGraph after_throws = builder.build();
+  PoolingGraphBuilder fresh(4);
+  (void)fresh.add_query(valid);
+  expect_same_views(views_of(after_throws), views_of(fresh.build()));
+  expect_same_views(views_of(after_throws), reference_views(4, {valid}));
 }
 
 TEST(PoolingGraphTest, BuilderIsReusableAfterBuild) {
@@ -365,6 +470,98 @@ TEST(PoolingGraphTest, IncrementalEqualsBatch) {
     const auto b = inc.query_multiset(j);
     EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
   }
+}
+
+// ------------------------------------------------- reference-oracle dedup
+
+// Every per-query design family, at sizes straddling the 64-agent words of
+// the census bitmap.  Each builder first takes a query on the boundary
+// agents 0 and n-1, then random queries whose multisets a twin generator
+// re-derives through the returning `sample_query`; a second round on the
+// same builder after `build()` checks the census scratch came back clean.
+TEST(PoolingGraphReferenceTest, PerQueryDesignsMatchSortedDedup) {
+  for (const Index n : {2, 63, 64, 65, 128, 1000}) {
+    const std::vector<QueryDesign> designs{
+        paper_design(n),
+        fractional_design(n, 0.5, SamplingMode::WithoutReplacement),
+        fractional_design(n, 0.3, SamplingMode::Bernoulli),
+        QueryDesign{.gamma = 3 * n, .mode = SamplingMode::WithReplacement},
+    };
+    for (std::size_t d = 0; d < designs.size(); ++d) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " design=" + std::to_string(d));
+      auto rng = test_rng(100 + static_cast<std::uint64_t>(n));
+      auto twin = test_rng(100 + static_cast<std::uint64_t>(n));
+      PoolingGraphBuilder builder(n);
+      for (int round = 0; round < 2; ++round) {
+        std::vector<std::vector<Index>> multisets{{n - 1, 0, n - 1, 0, 0}};
+        (void)builder.add_query(multisets.front());
+        for (int j = 0; j < 12; ++j) {
+          (void)builder.add_random_query(designs[d], rng);
+          multisets.push_back(sample_query(designs[d], n, twin));
+        }
+        expect_same_views(views_of(builder.build()),
+                          reference_views(n, multisets));
+      }
+    }
+  }
+}
+
+TEST(PoolingGraphReferenceTest, MakePoolingGraphMatchesSortedDedup) {
+  for (const Index n : {2, 65, 1000}) {
+    const QueryDesign design = paper_design(n);
+    auto rng = test_rng(200 + static_cast<std::uint64_t>(n));
+    auto twin = test_rng(200 + static_cast<std::uint64_t>(n));
+    const PoolingGraph g = make_pooling_graph(n, 40, design, rng);
+    std::vector<std::vector<Index>> multisets;
+    for (int j = 0; j < 40; ++j) {
+      multisets.push_back(sample_query(design, n, twin));
+    }
+    expect_same_views(views_of(g), reference_views(n, multisets));
+  }
+}
+
+TEST(PoolingGraphReferenceTest, DoublyRegularMatchesSortedDedup) {
+  for (const Index n : {2, 63, 64, 65, 128, 1000}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    auto rng = test_rng(300 + static_cast<std::uint64_t>(n));
+    const Index delta = 5;
+    const PoolingGraph g =
+        make_doubly_regular_graph(n, std::min<Index>(n * delta, 40), delta, rng);
+    expect_matches_reference(g);
+    EXPECT_EQ(g.delta(0), delta);
+    EXPECT_EQ(g.delta(n - 1), delta);
+  }
+}
+
+TEST(PoolingGraphReferenceTest, ConstantColumnWeightMatchesSortedDedup) {
+  for (const Index n : {2, 63, 64, 65, 128, 1000}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    auto rng = test_rng(400 + static_cast<std::uint64_t>(n));
+    const PoolingGraph g = make_constant_column_weight_graph(n, 30, 4, rng);
+    expect_matches_reference(g);
+    // Every agent joins 4 queries; padding of empty queries may add more.
+    EXPECT_GE(g.delta_star(0), 4);
+    EXPECT_GE(g.delta_star(n - 1), 4);
+  }
+}
+
+// Sparse design, Γ = 4 ≪ n: each query touches at most four bitmap words
+// far apart, including the first and the last.
+TEST(PoolingGraphReferenceTest, SparseQueriesMatchSortedDedup) {
+  const Index n = 100000;
+  const QueryDesign design{.gamma = 4, .mode = SamplingMode::WithReplacement};
+  auto rng = test_rng(500);
+  auto twin = test_rng(500);
+  PoolingGraphBuilder builder(n);
+  std::vector<std::vector<Index>> multisets{{n - 1, 0, 0, n - 1}, {n - 1}};
+  for (const auto& query : multisets) {
+    (void)builder.add_query(query);
+  }
+  for (int j = 0; j < 300; ++j) {
+    (void)builder.add_random_query(design, rng);
+    multisets.push_back(sample_query(design, n, twin));
+  }
+  expect_same_views(views_of(builder.build()), reference_views(n, multisets));
 }
 
 // ----------------------------------------------- constant column weight

@@ -8,6 +8,7 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "rand/distributions.hpp"
 #include "rand/rng.hpp"
@@ -285,8 +286,11 @@ TEST(DistributionsTest, WithoutReplacementIsUniform) {
 
 TEST(DistributionsTest, WithReplacementSizeAndRange) {
   Rng rng(23);
-  const auto s = sample_with_replacement(rng, 10, 100);
-  ASSERT_EQ(s.size(), 100u);
+  std::vector<Index> s{-7};  // appends after what the buffer holds
+  sample_with_replacement(rng, 10, 100, s);
+  ASSERT_EQ(s.size(), 101u);
+  EXPECT_EQ(s.front(), -7);
+  s.erase(s.begin());
   for (const Index v : s) {
     EXPECT_GE(v, 0);
     EXPECT_LT(v, 10);
@@ -296,7 +300,8 @@ TEST(DistributionsTest, WithReplacementSizeAndRange) {
 TEST(DistributionsTest, WithReplacementProducesDuplicates) {
   Rng rng(24);
   // Birthday bound: 100 draws from 10 values must collide.
-  const auto s = sample_with_replacement(rng, 10, 100);
+  std::vector<Index> s;
+  sample_with_replacement(rng, 10, 100, s);
   std::set<Index> unique(s.begin(), s.end());
   EXPECT_LT(unique.size(), s.size());
 }
@@ -305,7 +310,8 @@ TEST(DistributionsTest, WithReplacementIsUniform) {
   Rng rng(25);
   std::vector<int> counts(8, 0);
   const int draws = 80000;
-  const auto s = sample_with_replacement(rng, 8, draws);
+  std::vector<Index> s;
+  sample_with_replacement(rng, 8, draws, s);
   for (const Index v : s) {
     ++counts[static_cast<std::size_t>(v)];
   }
