@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: query
 // sampling, pooling-graph construction, incremental score updates, top-k
-// selection, sorting-network generation/application, dense matvec (the
-// AMP inner loop), channel measurement, and the end-to-end
+// selection, sorting-network generation/application, the dense products
+// and one AMP iteration, channel measurement, and the end-to-end
 // required-queries protocol at small n.
 
 #include <benchmark/benchmark.h>
@@ -131,6 +131,30 @@ void BM_DenseMatvec(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseMatvec)->Arg(500)->Arg(1000);
 
+// Aᵀ·z, the other half of an AMP iteration, on the same matrices.  One
+// weight in eight is zero, so the skipped rows are part of the timing.
+void BM_DenseMatvecTranspose(benchmark::State& state) {
+  const auto n = static_cast<Index>(state.range(0));
+  const Index m = n / 2;
+  rand::Rng rng(5);
+  const pooling::PoolingGraph graph =
+      pooling::make_pooling_graph(n, m, pooling::paper_design(n), rng);
+  const linalg::DenseMatrix a = linalg::counting_matrix(graph);
+  std::vector<double> z(static_cast<std::size_t>(m));
+  for (std::size_t j = 0; j < z.size(); ++j) {
+    z[j] = j % 8 == 0 ? 0.0 : rng.uniform_real() - 0.5;
+  }
+  std::vector<double> y(static_cast<std::size_t>(n));
+  for (auto _ : state) {
+    a.matvec_transpose(z, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n *
+                          m);
+}
+BENCHMARK(BM_DenseMatvecTranspose)->Arg(500)->Arg(1000);
+
 void BM_ChannelMeasureBitFlip(benchmark::State& state) {
   const Index n = 1000;
   rand::Rng rng(6);
@@ -170,16 +194,27 @@ void BM_RequiredQueriesProtocol(benchmark::State& state) {
 }
 BENCHMARK(BM_RequiredQueriesProtocol)->Arg(300)->Arg(1000);
 
+// One AMP iteration (both dense products plus the denoiser): args are
+// (n, m, Δ).  Δ = 0 is the paper design (Γ = n/2); Δ > 0 the doubly
+// regular design, here at the n and m of atlas_regular's largest cells.
 void BM_AmpIteration(benchmark::State& state) {
-  const Index n = 1000;
+  const auto n = static_cast<Index>(state.range(0));
+  const auto m = static_cast<Index>(state.range(1));
+  const auto delta = static_cast<Index>(state.range(2));
   const Index k = pooling::sublinear_k(n, 0.25);
-  const Index m = 300;
   rand::Rng rng(8);
   const noise::BitFlipChannel channel(0.1, 0.0);
+  pooling::GraphDesign design;
+  design.per_query = pooling::paper_design(n);
+  if (delta > 0) {
+    design.family = pooling::DesignFamily::DoublyRegular;
+    design.delta = delta;
+  }
   const core::Instance instance =
-      core::make_instance(n, k, m, pooling::paper_design(n), channel, rng);
+      core::make_instance(n, k, m, design, channel, rng);
+  const Index gamma = instance.graph.num_edges() / m;
   const amp::AmpProblem problem =
-      amp::standardize(instance, channel.linearization(n, k, n / 2));
+      amp::standardize(instance, channel.linearization(n, k, gamma));
   const amp::BayesBernoulliDenoiser denoiser(problem.pi);
   amp::AmpOptions options;
   options.max_iterations = 1;
@@ -187,7 +222,12 @@ void BM_AmpIteration(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(amp::run_amp(problem, denoiser, options));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
+                          n * m);
 }
-BENCHMARK(BM_AmpIteration);
+BENCHMARK(BM_AmpIteration)
+    ->Args({1000, 300, 0})
+    ->Args({4000, 400, 6})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -45,8 +45,9 @@ AmpResult run_amp(const AmpProblem& problem, const Denoiser& denoiser,
     // Denoise and record the Onsager coefficient for the *next* residual.
     double eta_prime_sum = 0.0;
     for (std::size_t i = 0; i < pseudo.size(); ++i) {
-      x_new[i] = denoiser.eta(pseudo[i], tau2);
-      eta_prime_sum += denoiser.eta_prime(pseudo[i], tau2);
+      const EtaAndPrime d = denoiser.eta_and_prime(pseudo[i], tau2);
+      x_new[i] = d.eta;
+      eta_prime_sum += d.eta_prime;
     }
     onsager_mean = eta_prime_sum / static_cast<double>(m);
     // Note: ⟨η'⟩·(n/m) = (1/m)·Σ_i η' — we fold n/m into the sum/m.

@@ -22,6 +22,10 @@ double sigmoid(double u) {
 
 }  // namespace
 
+EtaAndPrime Denoiser::eta_and_prime(double y, double tau2) const {
+  return {eta(y, tau2), eta_prime(y, tau2)};
+}
+
 // -------------------------------------------------------- Bayes Bernoulli
 
 BayesBernoulliDenoiser::BayesBernoulliDenoiser(double pi)
@@ -35,8 +39,13 @@ double BayesBernoulliDenoiser::eta(double y, double tau2) const {
 }
 
 double BayesBernoulliDenoiser::eta_prime(double y, double tau2) const {
+  return eta_and_prime(y, tau2).eta_prime;
+}
+
+EtaAndPrime BayesBernoulliDenoiser::eta_and_prime(double y,
+                                                  double tau2) const {
   const double e = eta(y, tau2);
-  return e * (1.0 - e) / tau2;
+  return {e, e * (1.0 - e) / tau2};
 }
 
 std::string BayesBernoulliDenoiser::name() const {

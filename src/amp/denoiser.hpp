@@ -19,6 +19,12 @@
 
 namespace npd::amp {
 
+/// η(y; τ²) together with η'(y; τ²).
+struct EtaAndPrime {
+  double eta = 0.0;
+  double eta_prime = 0.0;
+};
+
 /// Scalar denoiser interface: η and its derivative w.r.t. y, both
 /// parameterized by the current effective noise variance τ².
 class Denoiser {
@@ -31,6 +37,11 @@ class Denoiser {
 
   [[nodiscard]] virtual double eta(double y, double tau2) const = 0;
   [[nodiscard]] virtual double eta_prime(double y, double tau2) const = 0;
+  /// Both values at once, bit-identical to calling `eta` and `eta_prime`
+  /// (the AMP loops need both per coordinate).  The default does exactly
+  /// that; a denoiser whose derivative reuses η overrides it.
+  [[nodiscard]] virtual EtaAndPrime eta_and_prime(double y,
+                                                  double tau2) const;
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
@@ -42,6 +53,9 @@ class BayesBernoulliDenoiser final : public Denoiser {
 
   [[nodiscard]] double eta(double y, double tau2) const override;
   [[nodiscard]] double eta_prime(double y, double tau2) const override;
+  /// One `exp`: η' = η(1−η)/τ² from the η just computed.
+  [[nodiscard]] EtaAndPrime eta_and_prime(double y,
+                                          double tau2) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] double pi() const { return pi_; }

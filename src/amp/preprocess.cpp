@@ -1,6 +1,7 @@
 #include "amp/preprocess.hpp"
 
 #include <cmath>
+#include <span>
 
 #include "util/assert.hpp"
 
@@ -29,9 +30,22 @@ AmpProblem standardize(const core::Instance& instance,
   const double s = std::sqrt(static_cast<double>(m) * entry_var);
   NPD_CHECK_MSG(s > 0.0, "degenerate design: zero entry variance");
 
-  problem.b = linalg::counting_matrix(instance.graph);
-  problem.b.add_scalar(-mean_entry);
-  problem.b.scale(1.0 / s);
+  // B in one pass: every entry is (A_ji + -Γ/n)·(1/s), the same two
+  // roundings as centering and then scaling the counting matrix.  Entries
+  // with A_ji = 0 all share one value, so only the touched ones are
+  // written after the fill.
+  const double neg_mean = -mean_entry;
+  const double inv_s = 1.0 / s;
+  problem.b = linalg::DenseMatrix(m, n, (0.0 + neg_mean) * inv_s);
+  for (Index j = 0; j < m; ++j) {
+    const std::span<double> row = problem.b.row(j);
+    const auto agents = instance.graph.query_distinct(j);
+    const auto counts = instance.graph.query_multiplicity(j);
+    for (std::size_t idx = 0; idx < agents.size(); ++idx) {
+      row[static_cast<std::size_t>(agents[idx])] =
+          (static_cast<double>(counts[idx]) + neg_mean) * inv_s;
+    }
+  }
 
   problem.y.resize(static_cast<std::size_t>(m));
   const double centering =

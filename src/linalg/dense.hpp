@@ -35,17 +35,15 @@ class DenseMatrix {
   [[nodiscard]] std::span<const double> row(Index r) const;
   [[nodiscard]] std::span<double> row(Index r);
 
-  /// y = A·x (y must have `rows()` entries, x `cols()`).
+  /// y = A·x (y must have `rows()` entries, x `cols()`).  Each y_r is
+  /// summed from 0.0 in ascending column order, so it is bit-identical to
+  /// a naive per-row loop.
   void matvec(std::span<const double> x, std::span<double> y) const;
 
-  /// y = Aᵀ·x (y must have `cols()` entries, x `rows()`).
+  /// y = Aᵀ·x (y must have `cols()` entries, x `rows()`).  Each y_c is
+  /// summed from 0.0 over the rows with x_r ≠ 0 in ascending row order,
+  /// bit-identical to a naive per-row axpy loop.
   void matvec_transpose(std::span<const double> x, std::span<double> y) const;
-
-  /// In-place: A(r, c) += delta for all entries (used for centering).
-  void add_scalar(double delta);
-
-  /// In-place: A ← alpha·A.
-  void scale(double alpha);
 
   /// Squared Euclidean norm of column `c`.
   [[nodiscard]] double column_norm_squared(Index c) const;

@@ -59,15 +59,15 @@ class AmpAgentNode final : public Node {
         std::max(z_norm_sq / static_cast<double>(shared_->m),
                  shared_->tau2_floor);
 
-    x_ = shared_->denoiser->eta(pseudo, tau2);
-    const double eta_prime = shared_->denoiser->eta_prime(pseudo, tau2);
+    const amp::EtaAndPrime d = shared_->denoiser->eta_and_prime(pseudo, tau2);
+    x_ = d.eta;
 
     // Send (x_i, η'_i) back to every query node unless this was the last
     // iteration (the queries' final residual update is never consumed).
     const bool last_iteration = round == 2 * shared_->iterations - 1;
     if (!last_iteration) {
       for (Index j = 0; j < shared_->m; ++j) {
-        ctx.send(self_, shared_->n + j, Tag::User, x_, eta_prime);
+        ctx.send(self_, shared_->n + j, Tag::User, x_, d.eta_prime);
       }
     }
   }
