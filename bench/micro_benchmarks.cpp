@@ -1,8 +1,8 @@
-// Micro-benchmarks (google-benchmark) of the hot kernels: query
-// sampling, pooling-graph construction, incremental score updates, top-k
-// selection, sorting-network generation/application, the dense products
-// and one AMP iteration, channel measurement, and the end-to-end
-// required-queries protocol at small n.
+// Micro-benchmarks (google-benchmark) of the hot kernels: raw random
+// draws, query sampling, pooling-graph construction, incremental score
+// updates, top-k selection, sorting-network generation/application, the
+// dense products and one AMP iteration, channel measurement, and the
+// end-to-end required-queries protocol at small n.
 
 #include <benchmark/benchmark.h>
 
@@ -19,11 +19,41 @@
 #include "pooling/ground_truth.hpp"
 #include "pooling/pooling_graph.hpp"
 #include "pooling/query_design.hpp"
+#include "rand/distributions.hpp"
 #include "rand/rng.hpp"
 
 namespace {
 
 using namespace npd;
+
+// Raw 64-bit draws: the engine's per-call cost, refills amortized.
+void BM_RngDraw(benchmark::State& state) {
+  rand::Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RngDraw);
+
+// One bounded draw per sampled agent: the primitive behind every
+// with-replacement query (arg: population n; 1000 agents per iteration).
+void BM_SampleWithReplacement(benchmark::State& state) {
+  const auto n = static_cast<Index>(state.range(0));
+  constexpr Index kAgents = 1000;
+  rand::Rng rng(1);
+  std::vector<Index> out;
+  out.reserve(kAgents);
+  for (auto _ : state) {
+    out.clear();
+    rand::sample_with_replacement(rng, n, kAgents, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kAgents);
+}
+BENCHMARK(BM_SampleWithReplacement)->Arg(1000)->Arg(100000);
 
 void BM_SampleQuery(benchmark::State& state) {
   const auto n = static_cast<Index>(state.range(0));

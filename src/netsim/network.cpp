@@ -51,13 +51,10 @@ Index Network::run_round() {
     bucket_offsets_[i] += bucket_offsets_[i - 1];
   }
   bucketed_.resize(inbox_.size());
-  {
-    std::vector<Index> cursor(bucket_offsets_.begin(),
-                              bucket_offsets_.end() - 1);
-    for (const Message& msg : inbox_) {
-      bucketed_[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(msg.to)]++)] = msg;
-    }
+  cursor_.assign(bucket_offsets_.begin(), bucket_offsets_.end() - 1);
+  for (const Message& msg : inbox_) {
+    bucketed_[static_cast<std::size_t>(
+        cursor_[static_cast<std::size_t>(msg.to)]++)] = msg;
   }
 
   NetworkContext ctx(*this);

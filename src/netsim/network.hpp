@@ -101,8 +101,10 @@ class Network {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<Message> outbox_;  // sent this round, delivered next round
   std::vector<Message> inbox_;   // being delivered this round
-  // Per-node delivery slices into inbox_ (rebuilt each round).
+  // Per-node delivery slices into inbox_ and the per-node write cursors
+  // that fill them (rebuilt each round, storage kept across rounds).
   std::vector<Index> bucket_offsets_;
+  std::vector<Index> cursor_;
   std::vector<Message> bucketed_;
   NetStats stats_;
 };

@@ -27,14 +27,19 @@ SortingSchedule make_odd_even_schedule(Index n) {
 
   // Batcher's odd-even mergesort, iterative formulation for arbitrary n
   // (Knuth TAOCP vol. 3, 5.3.4).  Every (p, k) pass touches disjoint
-  // wire pairs, so each pass is one parallel layer.
+  // wire pairs, so each pass is one parallel layer of at most n/2
+  // comparators.
   for (Index p = 1; p < n; p *= 2) {
+    // Wires a and b lie in the same 2p-block iff a / 2p == b / 2p; 2p is
+    // a power of two, so that is "a and b agree above the low bits".
+    const Index block_mask = ~(2 * p - 1);
     for (Index k = p; k >= 1; k /= 2) {
       std::vector<Comparator> layer;
+      layer.reserve(static_cast<std::size_t>(n / 2));
       for (Index j = k % p; j + k < n; j += 2 * k) {
         const Index i_max = std::min(k, n - j - k);
         for (Index i = 0; i < i_max; ++i) {
-          if ((i + j) / (2 * p) == (i + j + k) / (2 * p)) {
+          if ((((i + j) ^ (i + j + k)) & block_mask) == 0) {
             layer.push_back(Comparator{.lo = i + j, .hi = i + j + k});
           }
         }

@@ -83,6 +83,54 @@ TEST(OddEvenTest, SortsRandomPermutationsLargerN) {
   }
 }
 
+/// Batcher's odd-even mergesort in the textbook division form (Knuth
+/// TAOCP vol. 3, 5.3.4): the reference the library's mask form must
+/// reproduce comparator for comparator.
+std::vector<std::vector<Comparator>> division_form_layers(Index n) {
+  std::vector<std::vector<Comparator>> layers;
+  for (Index p = 1; p < n; p *= 2) {
+    for (Index k = p; k >= 1; k /= 2) {
+      std::vector<Comparator> layer;
+      for (Index j = k % p; j + k < n; j += 2 * k) {
+        for (Index i = 0; i < std::min(k, n - j - k); ++i) {
+          if ((i + j) / (2 * p) == (i + j + k) / (2 * p)) {
+            layer.push_back(Comparator{.lo = i + j, .hi = i + j + k});
+          }
+        }
+      }
+      if (!layer.empty()) {
+        layers.push_back(std::move(layer));
+      }
+    }
+  }
+  return layers;
+}
+
+TEST(OddEvenTest, MatchesDivisionFormReference) {
+  std::vector<Index> sizes(300);
+  std::iota(sizes.begin(), sizes.end(), Index{1});
+  for (const Index n : {511, 512, 513, 1000, 4000, 8192}) {
+    sizes.push_back(n);
+  }
+  for (const Index n : sizes) {
+    const SortingSchedule schedule = make_odd_even_schedule(n);
+    const std::vector<std::vector<Comparator>> expected =
+        division_form_layers(n);
+    ASSERT_EQ(schedule.depth(), static_cast<Index>(expected.size()))
+        << "n=" << n;
+    for (Index l = 0; l < schedule.depth(); ++l) {
+      const std::vector<Comparator>& got = schedule.layer(l);
+      const std::vector<Comparator>& want =
+          expected[static_cast<std::size_t>(l)];
+      ASSERT_EQ(got.size(), want.size()) << "n=" << n << " layer " << l;
+      for (std::size_t c = 0; c < got.size(); ++c) {
+        ASSERT_TRUE(got[c].lo == want[c].lo && got[c].hi == want[c].hi)
+            << "n=" << n << " layer " << l << " comparator " << c;
+      }
+    }
+  }
+}
+
 TEST(OddEvenTest, SortsInputsWithDuplicates) {
   rand::Rng rng(43);
   const SortingSchedule schedule = make_odd_even_schedule(200);

@@ -1,15 +1,20 @@
 // Unit and statistical tests for src/rand: determinism, stream
-// independence, and the distributional correctness of every sampler.
+// independence, the distributional correctness of every sampler, and the
+// golden stream test pinning the in-tree engine to std::mt19937_64.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <numeric>
+#include <random>
 #include <set>
 #include <vector>
 
+#include "engine/job.hpp"
 #include "rand/distributions.hpp"
 #include "rand/rng.hpp"
 #include "util/assert.hpp"
@@ -352,6 +357,167 @@ TEST(DistributionsTest, ShuffleFirstPositionUniform) {
   }
   for (Index v = 0; v < 4; ++v) {
     EXPECT_NEAR(static_cast<double>(first_counts[v]) / trials, 0.25, 0.02);
+  }
+}
+
+// ------------------------------------------------------- golden stream
+//
+// Every pinned result of the reproduction (success counts, report bytes)
+// assumes Rng produces std::mt19937_64's stream.  The threads/shards cmp
+// rails compare the program with itself and cannot see a stream change,
+// so these tests compare Rng, and the std distributions it drives, with
+// the standard library's engine directly.
+
+/// The seeds the stream tests cover: the zero and all-ones words, the
+/// standard's default seed, and a seed as the batch engine derives it.
+std::vector<std::uint64_t> golden_seeds() {
+  return {0, 1, 5489, std::numeric_limits<std::uint64_t>::max(),
+          engine::derive_job_seed(7, "fig6", 3, 1)};
+}
+
+/// Index of the first of `count` draws where `rng` and `reference`
+/// disagree, or `count` when they agree throughout.
+std::int64_t first_mismatch(Rng& rng, std::mt19937_64& reference,
+                            std::int64_t count) {
+  for (std::int64_t i = 0; i < count; ++i) {
+    if (rng() != reference()) {
+      return i;
+    }
+  }
+  return count;
+}
+
+TEST(RngStreamTest, MatchesStdEngineForMillionDraws) {
+  constexpr std::int64_t kDraws = 1'000'000;
+  for (const std::uint64_t seed : golden_seeds()) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    EXPECT_EQ(first_mismatch(rng, reference, kDraws), kDraws)
+        << "seed " << seed;
+  }
+}
+
+TEST(RngStreamTest, StandardConformanceValue) {
+  // [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 (seed 5489) produces this value.
+  Rng rng(5489);
+  for (int i = 1; i < 10000; ++i) {
+    (void)rng();
+  }
+  EXPECT_EQ(rng(), 9981545732273789042ULL);
+}
+
+TEST(RngStreamTest, UniformIndexMatchesStdDistribution) {
+  const std::vector<Index> bounds = {
+      1,
+      2,
+      3,
+      1000,
+      (Index{1} << 32) - 1,
+      (Index{1} << 32) + 1,
+      (Index{1} << 62) + 1,
+      std::numeric_limits<Index>::max()};
+  for (const std::uint64_t seed : golden_seeds()) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    for (const Index bound : bounds) {
+      for (int i = 0; i < 2000; ++i) {
+        const Index expected =
+            std::uniform_int_distribution<Index>(0, bound - 1)(reference);
+        ASSERT_EQ(rng.uniform_index(bound), expected)
+            << "seed " << seed << " bound " << bound << " draw " << i;
+      }
+    }
+  }
+}
+
+TEST(RngStreamTest, RealGaussianBernoulliMatchStdDistributions) {
+  for (const std::uint64_t seed : golden_seeds()) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 2000; ++i) {
+      const double u =
+          std::uniform_real_distribution<double>(0.0, 1.0)(reference);
+      ASSERT_EQ(rng.uniform_real(), u) << "seed " << seed << " draw " << i;
+      // Rng::gaussian builds a fresh distribution per call, so the std
+      // side must too (normal_distribution caches its second variate).
+      const double g = std::normal_distribution<double>(1.5, 2.0)(reference);
+      ASSERT_EQ(rng.gaussian(1.5, 2.0), g) << "seed " << seed << " draw " << i;
+      const double p = 0.05 + 0.9 * static_cast<double>(i % 7) / 6.0;
+      const bool b = std::bernoulli_distribution(p)(reference);
+      ASSERT_EQ(rng.bernoulli(p), b) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(RngStreamTest, BinomialMatchesStdDistribution) {
+  // Small trial counts take libstdc++'s direct path, large ones the
+  // rejection sampler (which consumes a variable number of draws).
+  const std::vector<Index> trials = {1, 7, 40, 1000, 250000};
+  const std::vector<double> probs = {0.01, 0.3, 0.5, 0.93};
+  for (const std::uint64_t seed : golden_seeds()) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    for (int round = 0; round < 50; ++round) {
+      for (const Index t : trials) {
+        for (const double p : probs) {
+          const Index expected =
+              std::binomial_distribution<Index>(t, p)(reference);
+          ASSERT_EQ(binomial(rng, t, p), expected)
+              << "seed " << seed << " trials " << t << " p " << p;
+        }
+      }
+    }
+  }
+}
+
+TEST(RngStreamTest, ShuffleMatchesStdFisherYates) {
+  for (const std::uint64_t seed : golden_seeds()) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    for (const std::size_t size : {2U, 3U, 17U, 1000U}) {
+      std::vector<Index> items(size);
+      std::iota(items.begin(), items.end(), Index{0});
+      std::vector<Index> expected = items;
+      for (std::size_t i = size - 1; i > 0; --i) {
+        const auto j = static_cast<std::size_t>(
+            std::uniform_int_distribution<Index>(
+                0, static_cast<Index>(i))(reference));
+        std::swap(expected[i], expected[j]);
+      }
+      shuffle(rng, items);
+      ASSERT_EQ(items, expected) << "seed " << seed << " size " << size;
+    }
+  }
+}
+
+TEST(RngStreamTest, CopyContinuesIdentically) {
+  // 100 draws copies mid-block; 312 (one whole state) copies exactly at
+  // the refill boundary.
+  for (const int drawn : {0, 100, 312}) {
+    Rng rng(2024);
+    std::mt19937_64 reference(2024);
+    for (int i = 0; i < drawn; ++i) {
+      ASSERT_EQ(rng(), reference());
+    }
+    Rng copy = rng;
+    std::mt19937_64 reference_copy = reference;
+    EXPECT_EQ(first_mismatch(copy, reference_copy, 2000), 2000)
+        << "copy after " << drawn;
+    EXPECT_EQ(first_mismatch(rng, reference, 2000), 2000)
+        << "original after " << drawn;
+  }
+}
+
+TEST(RngStreamTest, DeriveSeedsTheStdStream) {
+  const Rng parent(777);
+  for (const std::uint64_t tag : {0ULL, 5ULL, 0xFFFFFFFFFFFFFFFFULL}) {
+    Rng child = parent.derive(tag);
+    const std::uint64_t expected_seed =
+        splitmix64(777ULL ^ splitmix64(tag + 0x1234567ULL));
+    EXPECT_EQ(child.seed(), expected_seed);
+    std::mt19937_64 reference(expected_seed);
+    EXPECT_EQ(first_mismatch(child, reference, 5000), 5000) << "tag " << tag;
   }
 }
 

@@ -287,8 +287,8 @@ struct BanRule {
 const std::vector<BanRule>& determinism_bans() {
   // Applied to code with comments AND literals stripped, so only real
   // code trips them.  Scope: src/ and tools/ (tests may do as they
-  // like; the fixture trees under tests/lint_fixtures are never
-  // scanned).
+  // like, and the golden stream test compares Rng with std::mt19937_64;
+  // the fixture trees under tests/lint_fixtures are never scanned).
   static const std::vector<BanRule> bans = [] {
     std::vector<BanRule> rules;
     rules.push_back({"no-std-rand", std::regex(R"(std\s*::\s*rand\b)"),
@@ -300,6 +300,14 @@ const std::vector<BanRule>& determinism_bans() {
     rules.push_back({"no-std-rand", std::regex(R"(\brandom_device\b)"),
                      "std::random_device is nondeterministic; all entropy "
                      "must come from derived seeds (src/rand)"});
+    rules.push_back(
+        {"no-std-engine",
+         std::regex(R"(\b(?:mt19937(?:_64)?|minstd_rand0?|)"
+                    R"(ranlux(?:24|48)(?:_base)?|knuth_b|)"
+                    R"(default_random_engine)\b)"),
+         "a <random> engine is a second random stream; draw through "
+         "rand::Rng, whose in-tree Mt19937_64 reproduces mt19937_64's "
+         "stream"});
     rules.push_back({"no-wall-clock", std::regex(R"(\btime\s*\()"),
                      "time() reads the wall clock; results must be pure "
                      "functions of the seed (Timer/steady_clock is fine "
@@ -392,8 +400,9 @@ void check_file(const fs::path& root, const fs::path& relative,
     }
   }
 
-  // ---- determinism bans (src/ and tools/, except src/rand which owns
-  // the repo's one sanctioned entropy/seed boundary).  The wall-clock
+  // ---- determinism bans (src/ and tools/; src/rand owns the repo's one
+  // sanctioned entropy/seed boundary and is exempt from all of them but
+  // no-std-engine, since its Rng is the one engine).  The wall-clock
   // ban alone has a four-file telemetry allowlist: trace flush stamps,
   // heartbeat freshness, metrics capture times and profiler sample
   // intervals need real time, and confining every such read to these
@@ -404,10 +413,12 @@ void check_file(const fs::path& root, const fs::path& relative,
                             generic == "src/util/heartbeat.cpp" ||
                             generic == "src/util/metrics.cpp" ||
                             generic == "src/util/profiler.cpp";
-  if ((in_src || in_tools) && generic.rfind("src/rand/", 0) != 0) {
+  const bool rand_tu = generic.rfind("src/rand/", 0) == 0;
+  if (in_src || in_tools) {
     for (std::size_t i = 0; i < code_lines.size(); ++i) {
       for (const BanRule& ban : determinism_bans()) {
-        if (telemetry_tu && ban.rule == "no-wall-clock") {
+        if ((rand_tu && ban.rule != "no-std-engine") ||
+            (telemetry_tu && ban.rule == "no-wall-clock")) {
           continue;
         }
         if (std::regex_search(code_lines[i], ban.pattern)) {
@@ -470,6 +481,7 @@ int usage(const char* argv0) {
       << "\n"
       << "Checks the repo's layering DAG (#include edges between src/\n"
       << "modules) and determinism rules (no std::rand/random_device,\n"
+      << "no <random> engine besides rand::Rng,\n"
       << "no wall-clock reads, no unordered-container iteration in\n"
       << "report/merge/cache-index paths, no float accumulators in\n"
       << "stats) over src/ tools/ tests/ bench/ examples/.\n"

@@ -51,6 +51,16 @@ check_fixture(bad_rand 1
   "src/core/uses_rand.cpp:[0-9]+: \\[no-std-rand\\].*std::rand"
   "src/core/uses_rand.cpp:[0-9]+: \\[no-std-rand\\].*srand"
   "src/core/uses_rand.cpp:[0-9]+: \\[no-std-rand\\].*random_device")
+# One line per banned engine, and src/rand gets no exemption from it.
+check_fixture(bad_engine 1
+  "src/pooling/uses_engine.cpp:8: \\[no-std-engine\\]"
+  "src/pooling/uses_engine.cpp:9: \\[no-std-engine\\]"
+  "src/pooling/uses_engine.cpp:10: \\[no-std-engine\\]"
+  "src/pooling/uses_engine.cpp:11: \\[no-std-engine\\]"
+  "src/pooling/uses_engine.cpp:12: \\[no-std-engine\\]"
+  "src/pooling/uses_engine.cpp:13: \\[no-std-engine\\]"
+  "src/pooling/uses_engine.cpp:14: \\[no-std-engine\\]"
+  "src/rand/second_engine.cpp:9: \\[no-std-engine\\]")
 check_fixture(bad_clock 1
   "src/pooling/uses_clock.cpp:[0-9]+: \\[no-wall-clock\\].*time"
   "src/pooling/uses_clock.cpp:[0-9]+: \\[no-wall-clock\\].*system_clock")
