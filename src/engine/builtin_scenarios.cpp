@@ -71,7 +71,7 @@ void require_design_feasible(const std::string& scenario,
 
 /// Figure 5 required-queries boxplots.  The grid, channel roster, labels
 /// and — critically — the per-repetition seed streams are byte-for-byte
-/// the ones of the legacy `fig5_boxplots` bench: per (channel, rep) the
+/// the ones of the deleted legacy fig5 binary: per (channel, rep) the
 /// stream is `Rng(seed + salt_channel).derive(rep)` (the sweep's
 /// single-point derivation), independent of n.
 class Fig5Scenario final : public Scenario {
@@ -167,7 +167,7 @@ class Fig5Scenario final : public Scenario {
     return ns;
   }
 
-  /// The legacy bench's channel roster, salts included.
+  /// The legacy binary's channel roster, salts included.
   static std::vector<Config> channel_roster() {
     std::vector<Config> configs;
     for (const double p : {0.1, 0.3, 0.5}) {
@@ -192,10 +192,10 @@ class Fig5Scenario final : public Scenario {
 // ------------------------------------------------------------------ abl7
 
 /// Ablation A7 distributed cost accounting.  One instance per n, seeded
-/// `Rng(seed + n)` exactly like the legacy bench; the measurement is a
-/// deterministic function of the instance, so the scenario schedules a
-/// single job per cell (repetitions would reproduce the same numbers)
-/// and the aggregates' mean equals the legacy print.
+/// `Rng(seed + n)` exactly like the deleted legacy abl7 binary; the
+/// measurement is a deterministic function of the instance, so the
+/// scenario schedules a single job per cell (repetitions would reproduce
+/// the same numbers) and the aggregates' mean equals the legacy print.
 class Abl7Scenario final : public Scenario {
  public:
   std::string name() const override { return "abl7"; }
@@ -264,7 +264,7 @@ class Abl7Scenario final : public Scenario {
     const noise::BitFlipChannel channel(p, 0.0);
     const Index k = pooling::sublinear_k(n, theta);
     // Queries: slightly above the Theorem 1 bound so both algorithms
-    // operate in their success regime (legacy bench constant).
+    // operate in their success regime (legacy binary constant).
     const auto m = static_cast<Index>(
         std::ceil(1.5 * core::theory::z_channel_sublinear(n, theta, p, 0.1)));
 
@@ -319,24 +319,17 @@ class Abl7Scenario final : public Scenario {
 
 /// Fixed-m reconstruction over an m-grid placed relative to the
 /// Theorem 1 Z-channel bound (the Figure 6/7 protocol).  The algorithm
-/// is any registered solver, selected with `solver=<name>` (plus
-/// `solver_params=key=value[;...]`); the historical per-algorithm
-/// scenarios `fixed_m_{greedy,amp,two_stage}` remain registered as
-/// aliases that only pin a different `solver` default (their seed
-/// streams, keyed on the scenario name, are unchanged).  Uses the
-/// engine's canonical stream derivation.
+/// is any registered solver, selected with `solver=<name>` (default
+/// greedy, plus `solver_params=key=value[;...]`).  Uses the engine's
+/// canonical stream derivation.
 class FixedMScenario final : public Scenario {
  public:
-  FixedMScenario(std::string name, std::string default_solver)
-      : name_(std::move(name)), default_solver_(std::move(default_solver)) {}
-
-  std::string name() const override { return name_; }
+  std::string name() const override { return "fixed_m"; }
 
   std::string description() const override {
-    return "fixed-m reconstruction with any registered solver (default " +
-           default_solver_ +
-           "): exact-success rate and overlap over an m-grid around the "
-           "Theorem 1 bound";
+    return "fixed-m reconstruction with any registered solver (default "
+           "greedy): exact-success rate and overlap over an m-grid around "
+           "the Theorem 1 bound";
   }
 
   std::vector<ParamSpec> params() const override {
@@ -350,7 +343,7 @@ class FixedMScenario final : public Scenario {
          "lowest m as a fraction of the Theorem 1 bound"},
         {"m_hi_frac", ParamSpec::Kind::Double, "1.5",
          "highest m as a fraction of the Theorem 1 bound"},
-        {"solver", ParamSpec::Kind::String, default_solver_,
+        {"solver", ParamSpec::Kind::String, "greedy",
          "registered solver name (see npd_run --list-solvers)"},
         {"solver_params", ParamSpec::Kind::String, "",
          "solver options as key=value[;key=value...]"},
@@ -363,16 +356,16 @@ class FixedMScenario final : public Scenario {
     const auto n = static_cast<Index>(params.get_int("n"));
     const double theta = params.get_double("theta");
     const double p = params.get_double("p");
-    require_param(n >= 2, name_, "n >= 2");
-    require_param(theta > 0.0 && theta < 1.0, name_, "theta in (0, 1)");
-    require_param(p >= 0.0 && p < 1.0, name_, "p in [0, 1)");
+    require_param(n >= 2, "fixed_m", "n >= 2");
+    require_param(theta > 0.0 && theta < 1.0, "fixed_m", "theta in (0, 1)");
+    require_param(p >= 0.0 && p < 1.0, "fixed_m", "p in [0, 1)");
     const Index k = pooling::sublinear_k(n, theta);
     const solve::DesignSpec design_spec =
         solve::parse_design_spec(params.get_string("design"));
     const pooling::GraphDesign design = design_spec.instantiate(n);
     const std::vector<Index> ms = m_grid(params);
     for (const Index m : ms) {
-      require_design_feasible(name_, design_spec, n, m);
+      require_design_feasible("fixed_m", design_spec, n, m);
     }
     // Resolving the solver here makes unknown names/options fail before
     // any job runs; the shared instance is safe for concurrent jobs
@@ -389,8 +382,7 @@ class FixedMScenario final : public Scenario {
         Job job;
         job.cell = static_cast<Index>(mi);
         job.rep = rep;
-        job.seed =
-            derive_job_seed(config.seed, name_, job.cell, rep);
+        job.seed = derive_job_seed(config.seed, "fixed_m", job.cell, rep);
         job.cost_hint = n;
         job.run = [n, k, m, p, design, solver](rand::Rng& rng) -> Metrics {
           const noise::BitFlipChannel job_channel(p, 0.0);
@@ -449,9 +441,6 @@ class FixedMScenario final : public Scenario {
     }
     return ms;
   }
-
-  std::string name_;
-  std::string default_solver_;
 };
 
 // ----------------------------------------------------------- solver_sweep
@@ -858,8 +847,8 @@ class PhaseAtlasScenario final : public Scenario {
 
 /// Figure 4 required-queries curves for the general noisy channel with
 /// symmetric error rates p = q ∈ {10⁻¹ … 10⁻⁵} — the regime-transition
-/// figure.  Per (q, n) the seed streams are byte-for-byte the legacy
-/// `fig4_general_channel` bench's: the sweep root is
+/// figure.  Per (q, n) the seed streams are byte-for-byte the deleted
+/// legacy fig4 binary's: the sweep root is
 /// `Rng(seed + uint64(-log10(q)·131) + n)` over the single-point grid
 /// {n}, so rep streams derive as `root.derive(rep)`.
 class Fig4Scenario final : public Scenario {
@@ -877,7 +866,7 @@ class Fig4Scenario final : public Scenario {
          "sublinear regime exponent (k = n^theta)"},
         {"max_n", ParamSpec::Kind::Int, "10000", "largest n of the log grid"},
         {"ppd", ParamSpec::Kind::Int, "2",
-         "log-grid points per decade (the bench's --paper uses 3)"},
+         "log-grid points per decade (the paper's scale uses 3)"},
         {"eps", ParamSpec::Kind::Double, "0.05",
          "epsilon in the interpolated theory bound"},
     };
@@ -915,9 +904,12 @@ class Fig4Scenario final : public Scenario {
           job.run = [n, q, theta, theory](rand::Rng& rng) -> Metrics {
             const Index k = pooling::sublinear_k(n, theta);
             const auto channel = noise::make_bitflip_channel(q, q);
-            // Fail-safe cap (20x the bound) and channel-aware centering,
-            // exactly as the legacy bench (see bench/fig4_general_channel
-            // for the rationale).
+            // Fail-safe cap (20x the bound: runs that would exceed it are
+            // reported capped instead of ground to the generic 1e6
+            // limit) and channel-aware centering ψ − E[Ξ^pq | G], exactly
+            // as the legacy binary.  The oblivious Δ*·k/2 listing couples
+            // the q·Γ offset with Δ* fluctuations and inflates the
+            // requirement by orders of magnitude at q >= 1e-2 (abl3).
             harness::RequiredQueriesOptions options;
             options.max_queries = std::max<Index>(
                 5000, static_cast<Index>(20.0 * theory));
@@ -976,10 +968,10 @@ class Fig4Scenario final : public Scenario {
 /// Figure 6 success-rate curves: exact reconstruction vs m at fixed n
 /// for the Z-channel at p ∈ {0.1, 0.3, 0.5}, one series per solver
 /// (default greedy vs AMP, any registered roster via `solvers`).  Per p,
-/// the per-(m, rep) seed streams are byte-for-byte the legacy
-/// `fig6_success_amp` bench's `success_sweep` derivation: root
+/// the per-(m, rep) seed streams are byte-for-byte the deleted legacy
+/// fig6 binary's `success_sweep` derivation: root
 /// `Rng(seed + uint64(p·4051))`, stream `root.derive(mi·100000 + rep)` —
-/// shared by every solver series, exactly like the legacy bench reusing
+/// shared by every solver series, exactly like the legacy binary reusing
 /// one base seed for the greedy and AMP sweeps.
 class Fig6Scenario final : public Scenario {
  public:
@@ -1117,8 +1109,8 @@ class Fig6Scenario final : public Scenario {
 // ------------------------------------------------------------- fig2, fig3
 
 /// Figure 2 required-queries curves.  Per series (Z-channel p), the
-/// per-repetition seed streams are byte-for-byte the legacy
-/// `fig2_zchannel` bench's: the sweep root is `Rng(seed + uint64(p*1000))`
+/// per-repetition seed streams are byte-for-byte the deleted legacy fig2
+/// binary's: the sweep root is `Rng(seed + uint64(p*1000))`
 /// and rep streams derive as `root.derive(point*10'000 + rep)` — the
 /// `harness::required_queries_sweep` derivation.
 class Fig2Scenario final : public Scenario {
@@ -1136,7 +1128,7 @@ class Fig2Scenario final : public Scenario {
          "sublinear regime exponent (k = n^theta)"},
         {"max_n", ParamSpec::Kind::Int, "10000", "largest n of the log grid"},
         {"ppd", ParamSpec::Kind::Int, "2",
-         "log-grid points per decade (the bench's --paper uses 3)"},
+         "log-grid points per decade (the paper's scale uses 3)"},
     };
   }
 
@@ -1210,8 +1202,8 @@ class Fig2Scenario final : public Scenario {
 };
 
 /// Figure 3 required-queries curves: the noisy query model vs the
-/// noiseless baseline.  Seed streams replicate the legacy
-/// `fig3_noisy_query` bench (sweep roots `seed + uint64(lambda*977)`).
+/// noiseless baseline.  Seed streams replicate the deleted legacy fig3
+/// binary (sweep roots `seed + uint64(lambda*977)`).
 class Fig3Scenario final : public Scenario {
  public:
   std::string name() const override { return "fig3"; }
@@ -1227,7 +1219,7 @@ class Fig3Scenario final : public Scenario {
          "sublinear regime exponent (k = n^theta)"},
         {"max_n", ParamSpec::Kind::Int, "10000", "largest n of the log grid"},
         {"ppd", ParamSpec::Kind::Int, "2",
-         "log-grid points per decade (the bench's --paper uses 3)"},
+         "log-grid points per decade (the paper's scale uses 3)"},
         {"lambda", ParamSpec::Kind::Double, "1",
          "query noise stddev of the noisy series"},
     };
@@ -1312,7 +1304,7 @@ class Fig3Scenario final : public Scenario {
 
 /// Ablation A1 pool-size sweep.  One cell per pool fraction Γ/n of the
 /// legacy roster {.05, .1, .25, .5, .75, .9}; per fraction the seed
-/// streams are byte-for-byte the legacy `abl1_query_size` bench's: a
+/// streams are byte-for-byte the deleted legacy abl1 binary's: a
 /// single-point `required_queries_sweep` rooted at
 /// `Rng(seed + uint64(fraction·1000))`, rep streams `root.derive(rep)`.
 class Abl1Scenario final : public Scenario {
@@ -1398,8 +1390,8 @@ class Abl1Scenario final : public Scenario {
 /// Ablation A2 sampling-discipline comparison: greedy success at equal m
 /// for the paper's with-replacement design, the without-replacement and
 /// Bernoulli variants, and a constant-column-weight design.  One series
-/// per design; seed derivations replicate the legacy `abl2_replacement`
-/// bench exactly (per-series `success_sweep` roots seed/+1/+3, and the
+/// per design; seed derivations replicate the deleted legacy abl2
+/// binary exactly (per-series `success_sweep` roots seed/+1/+3, and the
 /// ccw series' hand-rolled `Rng(seed + 2 + mi·131).derive(rep)` loop).
 class Abl2Scenario final : public Scenario {
  public:
@@ -1475,7 +1467,7 @@ class Abl2Scenario final : public Scenario {
       }
     }
 
-    // Series 3: constant column weight, the legacy bench's hand-rolled
+    // Series 3: constant column weight, the legacy binary's hand-rolled
     // loop — per m index the root is Rng(seed + 2 + mi*131), rep streams
     // root.derive(rep), per-agent weight ~ gamma_constant()*m.
     for (std::size_t mi = 0; mi < ms.size(); ++mi) {
@@ -1546,7 +1538,7 @@ class Abl2Scenario final : public Scenario {
 /// Ablation A3 score centering: raw Ψ vs the oblivious listing vs the
 /// analysis' channel-aware centering, all three evaluated **on the same
 /// instance** per repetition — one job per (m, rep) emitting six
-/// metrics.  Seed streams replicate the legacy `abl3_centering` bench:
+/// metrics.  Seed streams replicate the deleted legacy abl3 binary:
 /// per m index the root is `Rng(seed + mi·17)`, rep streams
 /// `root.derive(rep)`.
 class Abl3Scenario final : public Scenario {
@@ -1656,7 +1648,7 @@ class Abl3Scenario final : public Scenario {
 
 /// Ablation A4 two-stage local correction: greedy vs two-stage vs AMP on
 /// one Z-channel success curve.  Every series shares the **same** sweep
-/// root `Rng(seed)` (the legacy `abl4_two_stage` bench reuses one base
+/// root `Rng(seed)` (the deleted legacy abl4 binary reused one base
 /// seed for all three `success_sweep`s), streams
 /// `root.derive(mi·100000 + rep)`; the algorithms come from the solver
 /// registry, pinned bit-identical to the legacy free functions.
@@ -1775,8 +1767,8 @@ class Abl4Scenario final : public Scenario {
 /// Ablation A5, the Theorem 2 phase transition: greedy success at fixed
 /// m (twice the noiseless bound) across the legacy λ roster — absolute
 /// levels, multiples of the critical scale √(m/ln n), and the failure
-/// regime λ² ∈ {m, 4m}.  Per λ the streams replicate the legacy
-/// `abl5_lambda_transition` bench: single-point `success_sweep` rooted
+/// regime λ² ∈ {m, 4m}.  Per λ the streams replicate the deleted legacy
+/// abl5 binary: single-point `success_sweep` rooted
 /// at `Rng(seed + uint64(λ·97))`, rep streams `root.derive(rep)`.
 class Abl5Scenario final : public Scenario {
  public:
@@ -1859,7 +1851,7 @@ class Abl5Scenario final : public Scenario {
  private:
   /// Twice the noiseless Theorem 2 bound — comfortably achievable at
   /// λ = 0, so the collapse is attributable to noise alone (legacy
-  /// bench constant, eps = 0.1).
+  /// binary constant, eps = 0.1).
   static Index fixed_m(Index n, double theta) {
     return static_cast<Index>(
         std::ceil(2.0 * core::theory::noisy_query_sublinear(n, theta, 0.1)));
@@ -1884,8 +1876,8 @@ class Abl5Scenario final : public Scenario {
 
 /// Ablation A6 AMP configuration: the Bayes-optimal Bernoulli denoiser
 /// vs the soft-threshold (LASSO) denoiser vs damped Bayes iterations,
-/// all three on the **same instance** per repetition (the legacy
-/// `abl6_amp_denoiser` bench re-derives the identical rep stream per
+/// all three on the **same instance** per repetition (the deleted legacy
+/// abl6 binary re-derived the identical rep stream per
 /// variant; the only randomness is instance creation).  Per m index the
 /// root is `Rng(seed + mi·71)`, rep streams `root.derive(rep)`.  The
 /// state-evolution fixed point of the Bayes denoiser is deterministic
@@ -1990,7 +1982,7 @@ class Abl6Scenario final : public Scenario {
   }
 
  private:
-  /// The legacy bench's state-evolution fixed point for the Bayes
+  /// The legacy binary's state-evolution fixed point for the Bayes
   /// denoiser at (n, k, m, p) — a deterministic function, recomputed at
   /// aggregation time rather than carried as a metric.
   static double se_fixed_point(Index n, Index k, Index m, double p,
@@ -2035,14 +2027,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
   registry.add(std::make_unique<Fig6Scenario>());
   registry.add(std::make_unique<SolverSweepScenario>());
   registry.add(std::make_unique<PhaseAtlasScenario>());
-  // The generic fixed-m scenario plus the historical per-algorithm names
-  // (deprecated aliases: same class, different `solver` default and seed
-  // stream key; prefer `fixed_m` with `solver=<name>`).
-  registry.add(std::make_unique<FixedMScenario>("fixed_m", "greedy"));
-  registry.add(std::make_unique<FixedMScenario>("fixed_m_greedy", "greedy"));
-  registry.add(std::make_unique<FixedMScenario>("fixed_m_amp", "amp"));
-  registry.add(
-      std::make_unique<FixedMScenario>("fixed_m_two_stage", "two_stage"));
+  registry.add(std::make_unique<FixedMScenario>());
 }
 
 }  // namespace npd::engine

@@ -1,29 +1,25 @@
 #pragma once
 
 /// \file builtin_scenarios.hpp
-/// The paper's experiments as registered engine scenarios:
+/// The paper's experiments as registered engine scenarios — the one
+/// implementation of every figure and ablation (docs/cli.md lists them):
 ///
-///   * `fig5`            — required-queries boxplots (Figure 5): the
-///     Z-channel at p ∈ {0.1, 0.3, 0.5} and the noisy query model at
-///     λ ∈ {0..3}, n ∈ {10³, 10⁴(, 10⁵)}.  Job seeds replicate the
-///     `fig5_boxplots` bench derivation exactly, so the engine's
-///     aggregates equal the legacy binary's numbers for the same seed.
-///   * `abl7`            — distributed cost accounting (Ablation A7):
-///     greedy vs (dense-measured and sparse-modelled) distributed AMP.
-///     Seeds replicate `abl7_distributed_cost`: one instance per n,
-///     deterministic per (seed, n), so the scenario schedules exactly
-///     one job per cell regardless of the requested repetitions.
-///   * `fixed_m_greedy`, `fixed_m_amp`, `fixed_m_two_stage` — fixed-m
-///     reconstruction over an m-grid placed relative to the Theorem 1
-///     bound, reporting exact-success rate and overlap (the Figure 6/7
-///     protocol).  These use the engine's canonical
-///     (seed, scenario, cell, rep) stream derivation.
-///   * `fig2`, `fig3`, `fig4` — required-queries curves (Z-channel,
-///     noisy-query, general p=q channel), each replicating its legacy
-///     bench's sweep seed derivation byte for byte.
-///   * `fig6`            — success rate vs m at fixed n, one series per
-///     registered solver (default greedy vs AMP), replicating the legacy
-///     `fig6_success_amp` bench's `success_sweep` derivation.
+///   * `fig2` … `fig6`, `abl1` … `abl7` — Figures 2–6 and the seven
+///     ablations.  Each keeps the seed derivation of the deleted legacy
+///     binary it replaced byte for byte (pinned against `harness::sweeps`
+///     and inline replicas by tests/engine_test.cpp), so its numbers
+///     equal that binary's for the same seed.  `abl7` is one instance per
+///     n, deterministic per (seed, n): exactly one job per cell
+///     regardless of the requested repetitions.  Figure 7 (overlap) is
+///     the `overlap` series of a greedy-only `fig6` run.
+///   * `fixed_m` — fixed-m reconstruction with any registered solver
+///     (default greedy) over an m-grid placed relative to the Theorem 1
+///     bound, reporting exact-success rate and overlap.
+///   * `solver_sweep`, `phase_atlas` — solver-generic grids over
+///     (n, m, channel) and (design × solver × channel × n × m_frac).
+///
+/// `fixed_m`, `solver_sweep` and `phase_atlas` use the engine's
+/// canonical (seed, scenario, cell, rep) stream derivation.
 
 #include "engine/scenario.hpp"
 

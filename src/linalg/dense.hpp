@@ -4,8 +4,7 @@
 /// Row-major dense matrix.  The paper's pooling matrices have density
 /// ≈ 1 − e^{−1/2} ≈ 0.39 (each agent appears in a query with that
 /// probability), so AMP's per-iteration products A·x and Aᵀ·z run on a
-/// dense representation; the CSR variant in sparse.hpp exists for the
-/// sparse ablation designs.
+/// dense representation.
 
 #include <span>
 #include <vector>

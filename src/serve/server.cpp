@@ -40,8 +40,7 @@ Server::Server(const engine::ScenarioRegistry& registry,
                ServerOptions options)
     : registry_(registry),
       options_(std::move(options)),
-      service_(registry_, ServiceConfig{options_.seed, options_.threads,
-                                        options_.design_cache_capacity}) {}
+      service_(registry_, ServiceConfig{options_.seed, options_.threads}) {}
 
 Server::~Server() {
   if (!options_.unix_path.empty() && started_) {
@@ -188,11 +187,6 @@ void Server::batcher_loop() {
     for (const QueuedSolve& item : batch) {
       requests.push_back(item.request);
     }
-    const std::int64_t hits_before =
-        counters().design_cache_hits.load(std::memory_order_relaxed);
-    const std::int64_t misses_before =
-        counters().design_cache_misses.load(std::memory_order_relaxed);
-
     std::vector<Json> responses;
     try {
       responses = service_.execute(requests);
@@ -223,12 +217,6 @@ void Server::batcher_loop() {
 
     if (options_.progress != nullptr) {
       options_.progress->add_done(static_cast<std::int64_t>(batch.size()));
-      options_.progress->add_cache_hits(
-          counters().design_cache_hits.load(std::memory_order_relaxed) -
-          hits_before);
-      options_.progress->add_cache_misses(
-          counters().design_cache_misses.load(std::memory_order_relaxed) -
-          misses_before);
       options_.progress->set_current(batch.back().request.scenario, -1);
     }
     if (options_.max_requests > 0 && sent >= options_.max_requests) {

@@ -59,7 +59,6 @@ struct ServerOptions {
   /// `batch_max` 1 disables batching.
   Index batch_max = 16;
   double batch_window_ms = 1.0;
-  Index design_cache_capacity = 64;
   /// Stop after this many solve responses (0 = unlimited).
   std::int64_t max_requests = 0;
   /// Stop after this long with no connections and no queued work
@@ -67,8 +66,7 @@ struct ServerOptions {
   double idle_timeout_ms = 0.0;
   /// External shutdown flag (the tool's signal handler sets it).
   const std::atomic<bool>* external_stop = nullptr;
-  /// Optional heartbeat rail: responses count as jobs done, design
-  /// cache hits/misses map onto the cache fields.
+  /// Optional heartbeat rail: responses count as jobs done.
   heartbeat::ProgressCounters* progress = nullptr;
 };
 

@@ -7,7 +7,9 @@
 #include <utility>
 
 #include "engine/job.hpp"
+#include "rand/rng.hpp"
 #include "util/metrics.hpp"
+#include "util/parse.hpp"
 
 namespace npd::serve {
 
@@ -46,38 +48,36 @@ struct PendingSolve {
   std::shared_ptr<JobFailure> failure;
 };
 
-}  // namespace
-
-Service::Service(const engine::ScenarioRegistry& registry,
-                 ServiceConfig config)
-    : registry_(registry),
-      config_(config),
-      cache_(config.design_cache_capacity) {}
-
-const ResolvedDesign* Service::resolve(const Request& request) {
-  const std::string key = design_cache_key(request.scenario, request.params);
-  if (const ResolvedDesign* hit = cache_.find(key)) {
-    counters_.design_cache_hits.fetch_add(1, std::memory_order_relaxed);
-    metrics::counter("serve.design_cache.hit");
-    return hit;
-  }
-  counters_.design_cache_misses.fetch_add(1, std::memory_order_relaxed);
-  metrics::counter("serve.design_cache.miss");
-
-  const engine::Scenario* scenario = registry_.find(request.scenario);
+/// A solve request's scenario with its parameters resolved — defaults,
+/// then packed overrides, the same resolution `engine::plan_batch`
+/// performs for a single-scenario request — and an empty job range.
+/// Throws `std::invalid_argument` on unknown scenarios or bad parameters.
+engine::PlannedScenario resolve(const engine::ScenarioRegistry& registry,
+                                const Request& request) {
+  const engine::Scenario* scenario = registry.find(request.scenario);
   if (scenario == nullptr) {
     throw std::invalid_argument("unknown scenario '" + request.scenario +
                                 "'");
   }
-  // Defaults, then packed overrides — the same resolution
-  // `engine::plan_batch` performs, so a resident design and a fresh
-  // plan are interchangeable.
   engine::ScenarioParams params(scenario->params());
   params.set_packed(request.params);
-  ResolvedDesign design{scenario, std::move(params), ""};
-  design.config_hash = config_hash(request.scenario, design.params);
-  return cache_.insert(key, std::move(design));
+  return {scenario, std::move(params), 0, 0};
 }
+
+}  // namespace
+
+std::string config_hash(std::string_view scenario_name,
+                        const engine::ScenarioParams& params) {
+  Json doc = Json::object();
+  doc.set("schema", "npd.serve_config/1");
+  doc.set("scenario", std::string(scenario_name));
+  doc.set("params", params.to_json());
+  return format_hex64(rand::fnv1a64(doc.dump()));
+}
+
+Service::Service(const engine::ScenarioRegistry& registry,
+                 ServiceConfig config)
+    : registry_(registry), config_(config) {}
 
 std::vector<Json> Service::execute(const std::vector<Request>& requests) {
   std::vector<PendingSolve> pending(requests.size());
@@ -99,20 +99,17 @@ std::vector<Json> Service::execute(const std::vector<Request>& requests) {
                      ? *request.seed
                      : derive_request_seed(config_.server_seed, request.id);
     try {
-      // The design pointer is only valid until the next cache insert,
-      // so everything needed later is copied out of it here.
-      const ResolvedDesign* design = resolve(request);
-      entry.config_hash = design->config_hash;
+      engine::PlannedScenario planned = resolve(registry_, request);
+      entry.config_hash = config_hash(request.scenario, planned.params);
 
       const engine::EngineConfig config{entry.seed, request.reps,
                                         config_.threads};
       std::vector<engine::Job> jobs =
-          design->scenario->make_jobs(config, design->params);
+          planned.scenario->make_jobs(config, planned.params);
+      planned.job_count = static_cast<Index>(jobs.size());
       entry.plan.seed = entry.seed;
       entry.plan.reps = request.reps;
-      entry.plan.scenarios.push_back(engine::PlannedScenario{
-          design->scenario, design->params, 0,
-          static_cast<Index>(jobs.size())});
+      entry.plan.scenarios.push_back(std::move(planned));
       entry.plan.jobs = std::move(jobs);
 
       entry.failure = std::make_shared<JobFailure>();

@@ -2,7 +2,7 @@
 
 /// \file service.hpp
 /// The socket-free heart of the serving daemon: take a micro-batch of
-/// parsed requests, resolve each against the design cache, expand their
+/// parsed requests, resolve each one's scenario parameters, expand their
 /// jobs, run *all* of them on one shared `JobQueue`, and fold each
 /// request's slice back into its own `npd.response/1` document.
 ///
@@ -23,10 +23,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/engine.hpp"
-#include "serve/design_cache.hpp"
+#include "engine/scenario.hpp"
 #include "serve/protocol.hpp"
 #include "util/json.hpp"
 #include "util/types.hpp"
@@ -39,8 +41,6 @@ struct ServiceConfig {
   std::uint64_t server_seed = 42;
   /// Worker threads for the shared JobQueue (0 = all cores).
   Index threads = 0;
-  /// Resident designs kept in the LRU cache.
-  Index design_cache_capacity = 64;
 };
 
 /// Monotonic service totals, readable concurrently from the heartbeat
@@ -50,9 +50,14 @@ struct ServiceCounters {
   std::atomic<std::int64_t> batches{0};   ///< micro-batches executed
   std::atomic<std::int64_t> jobs{0};      ///< engine jobs run
   std::atomic<std::int64_t> errors{0};    ///< error responses built
-  std::atomic<std::int64_t> design_cache_hits{0};
-  std::atomic<std::int64_t> design_cache_misses{0};
 };
+
+/// Canonical configuration hash: FNV-1a (hex) over the compact dump of
+/// `{"schema":"npd.serve_config/1","scenario":...,"params":{...}}`.  It
+/// names a *configuration*, not a result: responses echo it so clients
+/// can correlate requests that asked for the same design.
+[[nodiscard]] std::string config_hash(std::string_view scenario_name,
+                                      const engine::ScenarioParams& params);
 
 /// One service instance over one scenario registry.  `execute` is not
 /// thread-safe (the daemon funnels every micro-batch through a single
@@ -73,14 +78,8 @@ class Service {
   [[nodiscard]] const ServiceCounters& counters() const { return counters_; }
 
  private:
-  /// Resolve via the design cache (miss = resolve defaults + packed
-  /// overrides and insert).  Throws `std::invalid_argument` on unknown
-  /// scenarios or bad parameters.
-  const ResolvedDesign* resolve(const Request& request);
-
   const engine::ScenarioRegistry& registry_;
   ServiceConfig config_;
-  DesignCache cache_;
   ServiceCounters counters_;
 };
 

@@ -300,7 +300,7 @@ class DistAmpSolver final : public Reconstructor {
     // The distributed protocol runs a fixed budget (distributed
     // convergence detection would cost an aggregation tree per
     // iteration); take it from a centralized reference run, like the
-    // legacy abl7 bench.
+    // `abl7` scenario.
     const amp::AmpResult centralized =
         amp::run_amp(problem, denoiser, options_);
     netsim::DistributedAmpResult dist = netsim::run_distributed_amp(

@@ -1,11 +1,11 @@
 #pragma once
 
 /// \file cli.hpp
-/// A small command-line flag parser used by the bench binaries and the
-/// example applications.
+/// A small command-line flag parser used by the tools and the example
+/// applications.
 ///
 /// Supports `--name value`, `--name=value` and boolean switches
-/// (`--paper`).  Every flag must be registered before `parse()` so the
+/// (`--quiet`).  Every flag must be registered before `parse()` so the
 /// generated `--help` text is complete; unknown flags are a hard error to
 /// catch typos in experiment scripts.
 
@@ -20,9 +20,9 @@ namespace npd {
 ///
 /// Usage:
 /// ```
-/// CliParser cli("fig2_zchannel", "Reproduces Figure 2.");
-/// auto& reps  = cli.add_int("reps", 5, "repetitions per grid point");
-/// auto& paper = cli.add_flag("paper", "run at full paper scale");
+/// CliParser cli("amp_vs_greedy", "Greedy vs AMP on one instance.");
+/// auto& reps  = cli.add_int("reps", 1, "independent instances");
+/// auto& quiet = cli.add_flag("quiet", "print only the summary");
 /// cli.parse(argc, argv);   // exits with code 0 on --help
 /// ```
 class CliParser {

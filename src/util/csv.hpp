@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file csv.hpp
-/// Tiny CSV emitter used by the bench binaries so every figure's data can
-/// be re-plotted outside this repository.
+/// Tiny CSV emitter used by the examples so their data can be re-plotted
+/// outside this repository.
 
 #include <fstream>
 #include <initializer_list>

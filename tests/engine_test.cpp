@@ -2,7 +2,7 @@
 // JobQueue scheduler's determinism, the scenario registry round-trip
 // (register → list → run-by-name with parameter overrides), the run
 // report's deterministic core, and the agreement between the engine's
-// built-in scenarios and the legacy bench derivations they replicate.
+// built-in scenarios and the legacy binary seed derivations they replicate.
 
 #include <gtest/gtest.h>
 
@@ -146,7 +146,7 @@ TEST(ScenarioRegistryTest, RegisterListFindRoundTrip) {
   EXPECT_EQ(registry.find("no_such_scenario"), nullptr);
 
   const auto all = registry.list();
-  ASSERT_EQ(all.size(), 19u);  // 18 builtins + the test scenario
+  ASSERT_EQ(all.size(), 16u);  // 15 builtins + the test scenario
   for (std::size_t i = 1; i < all.size(); ++i) {
     EXPECT_LT(all[i - 1]->name(), all[i]->name());  // sorted by name
   }
@@ -234,12 +234,12 @@ TEST(RunBatchTest, DeterministicReportBytesAcrossThreadCounts) {
     ScenarioRegistry registry;
     register_builtin_scenarios(registry);
     BatchRequest request;
-    request.scenario_names = {"fixed_m_greedy"};
+    request.scenario_names = {"fixed_m"};
     request.config.seed = 5;
     request.config.reps = 3;
     request.config.threads = threads;
-    request.overrides.push_back({"fixed_m_greedy", "n", "150"});
-    request.overrides.push_back({"fixed_m_greedy", "m_points", "2"});
+    request.overrides.push_back({"fixed_m", "n", "150"});
+    request.overrides.push_back({"fixed_m", "m_points", "2"});
     return run_batch(registry, request);
   };
   const RunReport sequential = run(1);
@@ -389,7 +389,7 @@ TEST(EngineAgreementTest, Fig2CellsMatchLegacySweepDerivation) {
   // log_grid(100, 1000, 2) has 3 points; 3 Z-channel levels.
   ASSERT_EQ(cells.size(), 9u);
 
-  // Cell 0 is p = 0.1 at n = 100: the legacy bench ran
+  // Cell 0 is p = 0.1 at n = 100: the legacy binary ran
   // required_queries_sweep rooted at seed + uint64(p * 1000); recompute
   // through that path and compare the aggregates bit for bit.
   const auto rows = harness::required_queries_sweep(
@@ -425,7 +425,7 @@ TEST(EngineAgreementTest, Fig3CellsMatchLegacySweepDerivation) {
   // log_grid(100, 316, 2) has 2 points; series = {noiseless, lambda=1}.
   ASSERT_EQ(cells.size(), 4u);
 
-  // Cells 2..3 are the noisy series (lambda = 1): the legacy bench ran
+  // Cells 2..3 are the noisy series (lambda = 1): the legacy binary ran
   // required_queries_sweep rooted at seed + uint64(lambda * 977);
   // recompute through that path and compare the aggregates bit for bit.
   const auto rows = harness::required_queries_sweep(
@@ -459,7 +459,7 @@ TEST(EngineAgreementTest, Fig4CellsMatchLegacySweepDerivation) {
   const Json& cells = report.scenarios[0].aggregates.at("cells");
   ASSERT_EQ(cells.size(), 5u);  // 5 q levels x log_grid(100, 100, 2)
 
-  // Cell 0 is q = 0.1 at n = 100: the legacy bench ran a single-point
+  // Cell 0 is q = 0.1 at n = 100: the legacy binary ran a single-point
   // required_queries_sweep rooted at seed + uint64(-log10(q)*131) + n
   // with the 20x-theory cap and channel-aware centering; recompute
   // through that path and compare the aggregates bit for bit.
@@ -506,7 +506,7 @@ TEST(EngineAgreementTest, Fig6CellsMatchLegacySuccessSweep) {
   // 3 p levels x 2 solvers x ms {40, 80, 120}.
   ASSERT_EQ(cells.size(), 18u);
 
-  // The p = 0.1 series: the legacy bench ran success_sweep rooted at
+  // The p = 0.1 series: the legacy binary ran success_sweep rooted at
   // seed + uint64(p * 4051) — once per algorithm, same root.  The
   // engine's greedy series is cells 0..2, the AMP series cells 3..5.
   const Index n = 150;
@@ -560,7 +560,7 @@ TEST(EngineAgreementTest, Abl1CellsMatchLegacySweepDerivation) {
   const Json& cells = report.scenarios[0].aggregates.at("cells");
   ASSERT_EQ(cells.size(), 6u);  // the legacy fraction roster
 
-  // Cell 0 is fraction 0.05: the legacy bench ran a single-point
+  // Cell 0 is fraction 0.05: the legacy binary ran a single-point
   // required_queries_sweep over the with-replacement fractional design,
   // rooted at seed + uint64(fraction * 1000); recompute through that
   // path and compare the aggregates bit for bit.
@@ -735,7 +735,7 @@ TEST(EngineAgreementTest, Abl4CellsMatchLegacySuccessSweeps) {
   const Json& cells = report.scenarios[0].aggregates.at("cells");
   ASSERT_EQ(cells.size(), 6u);  // 3 solvers x ms {40, 80}
 
-  // The legacy bench ran three success_sweeps (greedy, two-stage, AMP)
+  // The legacy binary ran three success_sweeps (greedy, two-stage, AMP)
   // off the same base seed; recompute through that path per series.
   const Index n = 150;
   const Index k = pooling::sublinear_k(n, 0.25);
@@ -780,7 +780,7 @@ TEST(EngineAgreementTest, Abl5CellsMatchLegacySweepDerivation) {
   const Json& cells = report.scenarios[0].aggregates.at("cells");
   ASSERT_EQ(cells.size(), 11u);  // the legacy lambda roster
 
-  // Cell 1 is lambda = 1: the legacy bench ran a single-point
+  // Cell 1 is lambda = 1: the legacy binary ran a single-point
   // success_sweep rooted at seed + uint64(lambda * 97) at the fixed
   // m = ceil(2 * noisy-query bound); recompute through that path.
   const Index n = 150;

@@ -1,4 +1,4 @@
-// Tests for the linear-algebra substrate: dense and CSR matrices, their
+// Tests for the linear-algebra substrate: dense matrices, their
 // products against brute-force references, and the counting-matrix
 // construction from pooling graphs.
 
@@ -13,7 +13,6 @@
 #include "amp/preprocess.hpp"
 #include "core/instance.hpp"
 #include "linalg/dense.hpp"
-#include "linalg/sparse.hpp"
 #include "linalg/vector_ops.hpp"
 #include "noise/channel.hpp"
 #include "pooling/ground_truth.hpp"
@@ -297,60 +296,6 @@ TEST(DenseKernelReferenceTest, StandardizeAndProductsOnDesigns) {
     }
     expect_kernels_match_naive(problem.b, rng, t.design);
   }
-}
-
-// ------------------------------------------------------------------- CSR
-
-TEST(CsrMatrixTest, FromTripletsAndAccess) {
-  const std::vector<Index> rows{0, 1, 1};
-  const std::vector<Index> cols{1, 0, 2};
-  const std::vector<double> vals{5.0, 6.0, 7.0};
-  const CsrMatrix m = CsrMatrix::from_triplets(2, 3, rows, cols, vals);
-  EXPECT_EQ(m.nonzeros(), 3);
-  EXPECT_DOUBLE_EQ(m.at(0, 1), 5.0);
-  EXPECT_DOUBLE_EQ(m.at(1, 0), 6.0);
-  EXPECT_DOUBLE_EQ(m.at(1, 2), 7.0);
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 0.0);
-}
-
-TEST(CsrMatrixTest, MatvecMatchesDense) {
-  rand::Rng rng(11);
-  const pooling::PoolingGraph g =
-      pooling::make_pooling_graph(20, 12, pooling::paper_design(20), rng);
-  const DenseMatrix dense = counting_matrix(g);
-  const CsrMatrix sparse = counting_matrix_sparse(g);
-
-  std::vector<double> x(20);
-  for (auto& v : x) {
-    v = rng.uniform_real();
-  }
-  std::vector<double> y_dense(12);
-  std::vector<double> y_sparse(12);
-  dense.matvec(x, y_dense);
-  sparse.matvec(x, y_sparse);
-  for (std::size_t i = 0; i < y_dense.size(); ++i) {
-    EXPECT_NEAR(y_dense[i], y_sparse[i], 1e-12);
-  }
-
-  std::vector<double> z(12);
-  for (auto& v : z) {
-    v = rng.uniform_real();
-  }
-  std::vector<double> w_dense(20);
-  std::vector<double> w_sparse(20);
-  dense.matvec_transpose(z, w_dense);
-  sparse.matvec_transpose(z, w_sparse);
-  for (std::size_t i = 0; i < w_dense.size(); ++i) {
-    EXPECT_NEAR(w_dense[i], w_sparse[i], 1e-12);
-  }
-}
-
-TEST(CsrMatrixTest, RejectsOutOfRangeTriplets) {
-  const std::vector<Index> rows{2};
-  const std::vector<Index> cols{0};
-  const std::vector<double> vals{1.0};
-  EXPECT_THROW((void)CsrMatrix::from_triplets(2, 3, rows, cols, vals),
-               ContractViolation);
 }
 
 // -------------------------------------------------------- counting matrix

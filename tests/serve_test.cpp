@@ -1,6 +1,6 @@
 // Tests for the serving subsystem (src/serve + the util/socket framing):
-// protocol parsing and the derived-seed contract, the LRU design cache,
-// the Service's bit-identity with the offline engine (solo, batched,
+// protocol parsing and the derived-seed contract, the configuration
+// hash, the Service's bit-identity with the offline engine (solo, batched,
 // across thread counts), error isolation inside a micro-batch, the
 // length-prefixed framing over a socketpair, and the load-generator's
 // latency statistics.
@@ -26,7 +26,6 @@
 
 #include "engine/builtin_scenarios.hpp"
 #include "engine/engine.hpp"
-#include "serve/design_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -160,7 +159,7 @@ TEST(ProtocolTest, ErrorAndControlResponseShapes) {
   EXPECT_EQ(stats_ack.at("op").as_string(), "stats");
 }
 
-// ---------------------------------------------------------- design cache
+// ------------------------------------------------------- config hash
 
 engine::ScenarioRegistry& test_registry() {
   static engine::ScenarioRegistry registry = [] {
@@ -171,29 +170,7 @@ engine::ScenarioRegistry& test_registry() {
   return registry;
 }
 
-TEST(DesignCacheTest, KeySeparatesScenarioFromParams) {
-  // The NUL separator means ("ab","") and ("a","b") cannot collide.
-  EXPECT_NE(design_cache_key("ab", ""), design_cache_key("a", "b"));
-  EXPECT_EQ(design_cache_key("a", "b"), design_cache_key("a", "b"));
-}
-
-TEST(DesignCacheTest, LruEvictsOldestAndCountsHits) {
-  DesignCache cache(2);
-  ResolvedDesign design{nullptr, engine::ScenarioParams({}), "h"};
-  EXPECT_EQ(cache.find("a"), nullptr);  // miss 1
-  (void)cache.insert("a", design);
-  (void)cache.insert("b", design);
-  EXPECT_NE(cache.find("a"), nullptr);  // hit 1; "a" is now MRU
-  (void)cache.insert("c", design);      // evicts "b", not "a"
-  EXPECT_NE(cache.find("a"), nullptr);  // hit 2
-  EXPECT_EQ(cache.find("b"), nullptr);  // miss 2 (evicted)
-  EXPECT_NE(cache.find("c"), nullptr);  // hit 3
-  EXPECT_EQ(cache.size(), 2);
-  EXPECT_EQ(cache.hits(), 3);
-  EXPECT_EQ(cache.misses(), 2);
-}
-
-TEST(DesignCacheTest, ConfigHashIsStableAndConfigSensitive) {
+TEST(ServiceTest, ConfigHashIsStableAndConfigSensitive) {
   const engine::Scenario* scenario = test_registry().find("solver_sweep");
   ASSERT_NE(scenario, nullptr);
   engine::ScenarioParams params(scenario->params());
@@ -234,7 +211,7 @@ std::string offline_bytes(std::uint64_t seed, Index reps,
 }
 
 TEST(ServiceTest, ResponseReportMatchesOfflineRunBatch) {
-  Service service(test_registry(), {42, 1, 64});
+  Service service(test_registry(), {42, 1});
   const Json response = service.execute_one(solve_request("r1", 7));
   EXPECT_EQ(response.at("status").as_string(), "ok");
   EXPECT_EQ(response.at("seed").as_int(), 7);
@@ -246,7 +223,7 @@ TEST(ServiceTest, ResponseReportMatchesOfflineRunBatch) {
 }
 
 TEST(ServiceTest, DerivedSeedIsUsedAndEchoed) {
-  Service service(test_registry(), {42, 1, 64});
+  Service service(test_registry(), {42, 1});
   Request request = solve_request("req-derive", 0);
   request.seed.reset();
   const Json response = service.execute_one(request);
@@ -260,8 +237,8 @@ TEST(ServiceTest, BatchedEqualsUnbatchedAcrossThreadCounts) {
   // alone on 1 thread: every response's deterministic core must be
   // byte-identical (the engine's seed derivation does not care who
   // shares the worker pool).
-  Service batched(test_registry(), {42, 4, 64});
-  Service solo(test_registry(), {42, 1, 64});
+  Service batched(test_registry(), {42, 4});
+  Service solo(test_registry(), {42, 1});
   const std::vector<Request> requests = {
       solve_request("a", 7),
       solve_request("b", 7, "n_lo=60;n_hi=120", 2),
@@ -282,7 +259,7 @@ TEST(ServiceTest, BatchedEqualsUnbatchedAcrossThreadCounts) {
 }
 
 TEST(ServiceTest, BadRequestFailsAloneInsideABatch) {
-  Service service(test_registry(), {42, 2, 64});
+  Service service(test_registry(), {42, 2});
   std::vector<Request> requests = {solve_request("good-1", 7),
                                    solve_request("poisoned", 7),
                                    solve_request("good-2", 7)};
@@ -300,7 +277,7 @@ TEST(ServiceTest, BadRequestFailsAloneInsideABatch) {
 }
 
 TEST(ServiceTest, ControlOpsSkipTheEngine) {
-  Service service(test_registry(), {42, 1, 64});
+  Service service(test_registry(), {42, 1});
   Request ping;
   ping.id = "p";
   ping.op = Op::Ping;
@@ -308,16 +285,6 @@ TEST(ServiceTest, ControlOpsSkipTheEngine) {
   EXPECT_EQ(ack.at("status").as_string(), "ok");
   EXPECT_EQ(service.counters().jobs.load(), 0);
   EXPECT_EQ(service.counters().requests.load(), 0);
-}
-
-TEST(ServiceTest, RepeatedConfigHitsTheDesignCache) {
-  Service service(test_registry(), {42, 1, 64});
-  (void)service.execute_one(solve_request("a", 1));
-  (void)service.execute_one(solve_request("b", 2));
-  EXPECT_EQ(service.counters().design_cache_misses.load(), 1);
-  EXPECT_EQ(service.counters().design_cache_hits.load(), 1);
-  (void)service.execute_one(solve_request("c", 3, "n_lo=60;n_hi=120"));
-  EXPECT_EQ(service.counters().design_cache_misses.load(), 2);
 }
 
 // ---------------------------------------------------------------- framing

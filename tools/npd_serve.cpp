@@ -2,12 +2,11 @@
 //
 // Listens on a Unix-domain socket (and/or localhost TCP), speaks the
 // length-prefixed npd.request/1 → npd.response/1 protocol
-// (docs/serving.md), keeps resolved designs resident in an LRU cache,
-// micro-batches concurrent solve requests onto the engine's shared
-// JobQueue worker pool, and derives per-request seeds deterministically
-// from (--seed, request id) — so every served solve can be replayed
-// offline with `npd_run --seed <derived>` and compared byte for byte
-// (the tools.serve_roundtrip ctest does exactly that).
+// (docs/serving.md), micro-batches concurrent solve requests onto the
+// engine's shared JobQueue worker pool, and derives per-request seeds
+// deterministically from (--seed, request id) — so every served solve
+// can be replayed offline with `npd_run --seed <derived>` and compared
+// byte for byte (the tools.serve_roundtrip ctest does exactly that).
 //
 //   npd_serve --socket /tmp/npd.sock --threads 8
 //   npd_serve --tcp 0 --port-file port.txt --daemonize --log serve.log
@@ -160,7 +159,7 @@ int run(int argc, char** argv) {
   CliParser cli("npd_serve",
                 "Reconstruction daemon: serves npd.request/1 solves over "
                 "a Unix-domain/localhost-TCP socket with request "
-                "batching and resident designs.");
+                "batching.");
   const std::string& socket_path = cli.add_string(
       "socket", "", "Unix-domain socket path to listen on");
   const long long& tcp_port = cli.add_int(
@@ -181,8 +180,6 @@ int run(int argc, char** argv) {
   const double& batch_window_ms = cli.add_double(
       "batch-window-ms", 1.0, "how long a queued request waits for "
       "batch companions (0 = no wait)");
-  const long long& design_cache = cli.add_int(
-      "design-cache", 64, "resident designs kept in the LRU cache");
   const long long& max_requests = cli.add_int(
       "max-requests", 0, "drain and exit after this many solve "
       "responses (0 = serve forever)");
@@ -294,7 +291,6 @@ int run(int argc, char** argv) {
   options.seed = static_cast<std::uint64_t>(seed);
   options.batch_max = static_cast<Index>(batch_max);
   options.batch_window_ms = batch_window_ms;
-  options.design_cache_capacity = static_cast<Index>(design_cache);
   options.max_requests = max_requests;
   options.idle_timeout_ms = idle_timeout_ms;
   options.external_stop = &g_stop;
@@ -388,13 +384,10 @@ int run(int argc, char** argv) {
     const serve::ServiceCounters& counters = server.counters();
     (void)std::fprintf(
         stderr,
-        "npd_serve: %lld responses, %lld batches, %lld jobs, design "
-        "cache %lld hits / %lld misses, %.2f s\n",
+        "npd_serve: %lld responses, %lld batches, %lld jobs, %.2f s\n",
         static_cast<long long>(responses),
         static_cast<long long>(counters.batches.load()),
         static_cast<long long>(counters.jobs.load()),
-        static_cast<long long>(counters.design_cache_hits.load()),
-        static_cast<long long>(counters.design_cache_misses.load()),
         timer.elapsed_seconds());
   }
   if (!trace_path.empty()) {
