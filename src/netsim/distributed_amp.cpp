@@ -159,30 +159,39 @@ DistributedAmpResult run_distributed_amp(const core::Instance& instance,
   shared.denoiser = &denoiser;
   shared.iterations = iterations;
 
+  // Each query's row and, scattered from the same walk, each agent's
+  // column of the counting matrix A.
+  const auto n_size = static_cast<std::size_t>(n);
+  const auto m_size = static_cast<std::size_t>(m);
+  std::vector<std::vector<double>> rows(m_size,
+                                        std::vector<double>(n_size, 0.0));
+  std::vector<std::vector<double>> columns(n_size,
+                                           std::vector<double>(m_size, 0.0));
+  for (Index j = 0; j < m; ++j) {
+    auto& row = rows[static_cast<std::size_t>(j)];
+    const auto distinct = instance.graph.query_distinct(j);
+    const auto counts = instance.graph.query_multiplicity(j);
+    for (std::size_t idx = 0; idx < distinct.size(); ++idx) {
+      const auto i = static_cast<std::size_t>(distinct[idx]);
+      const auto count = static_cast<double>(counts[idx]);
+      row[i] = count;
+      columns[i][static_cast<std::size_t>(j)] = count;
+    }
+  }
+
   Network network;
   std::vector<AmpAgentNode*> agents;
-  agents.reserve(static_cast<std::size_t>(n));
+  agents.reserve(n_size);
   for (Index i = 0; i < n; ++i) {
-    std::vector<double> column(static_cast<std::size_t>(m), 0.0);
-    for (const Index j : instance.graph.agent_queries(i)) {
-      column[static_cast<std::size_t>(j)] =
-          static_cast<double>(instance.graph.multiplicity(j, i));
-    }
-    auto agent = std::make_unique<AmpAgentNode>(i, &shared, std::move(column));
+    auto agent = std::make_unique<AmpAgentNode>(
+        i, &shared, std::move(columns[static_cast<std::size_t>(i)]));
     agents.push_back(agent.get());
     (void)network.add_node(std::move(agent));
   }
   for (Index j = 0; j < m; ++j) {
-    std::vector<double> row(static_cast<std::size_t>(n), 0.0);
-    const auto distinct = instance.graph.query_distinct(j);
-    const auto counts = instance.graph.query_multiplicity(j);
-    for (std::size_t idx = 0; idx < distinct.size(); ++idx) {
-      row[static_cast<std::size_t>(distinct[idx])] =
-          static_cast<double>(counts[idx]);
-    }
     (void)network.add_node(std::make_unique<AmpQueryNode>(
         n + j, j, &shared, problem.y[static_cast<std::size_t>(j)],
-        std::move(row)));
+        std::move(rows[static_cast<std::size_t>(j)])));
   }
 
   // Rounds 0..2T-1: T query rounds interleaved with T agent rounds.

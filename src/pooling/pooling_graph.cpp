@@ -37,28 +37,9 @@ std::span<const Index> PoolingGraph::query_multiplicity(Index j) const {
   return {distinct_counts_.data() + lo, hi - lo};
 }
 
-std::span<const Index> PoolingGraph::agent_queries(Index i) const {
-  NPD_ASSERT(i >= 0 && i < n_);
-  const auto lo = static_cast<std::size_t>(agent_offsets_[static_cast<std::size_t>(i)]);
-  const auto hi =
-      static_cast<std::size_t>(agent_offsets_[static_cast<std::size_t>(i) + 1]);
-  return {agent_query_ids_.data() + lo, hi - lo};
-}
-
-Index PoolingGraph::multiplicity(Index j, Index i) const {
-  const auto agents = query_distinct(j);
-  const auto counts = query_multiplicity(j);
-  const auto it = std::lower_bound(agents.begin(), agents.end(), i);
-  if (it == agents.end() || *it != i) {
-    return 0;
-  }
-  return counts[static_cast<std::size_t>(it - agents.begin())];
-}
-
 PoolingGraphBuilder::PoolingGraphBuilder(Index n) : n_(n) {
   NPD_CHECK_MSG(n > 0, "graph needs at least one agent");
   graph_.n_ = n;
-  graph_.delta_.assign(static_cast<std::size_t>(n), 0);
   tally_.assign(static_cast<std::size_t>(n), 0);
   seen_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
 }
@@ -107,12 +88,10 @@ Index PoolingGraphBuilder::add_random_query(const QueryDesign& design,
 Index PoolingGraphBuilder::close_query(std::size_t begin) {
   const std::size_t end = graph_.query_agents_.size();
   const Index* edges = graph_.query_agents_.data();
-  Index* delta = graph_.delta_.data();
   Index* tally = tally_.data();
   std::uint64_t* seen = seen_.data();
   for (std::size_t e = begin; e < end; ++e) {
     const auto agent = static_cast<std::size_t>(edges[e]);
-    ++delta[agent];
     ++tally[agent];
     std::uint64_t& word = seen[agent / 64];
     if (word == 0) {
@@ -156,43 +135,9 @@ Index PoolingGraphBuilder::num_queries_so_far() const {
 }
 
 PoolingGraph PoolingGraphBuilder::build() {
-  const Index m = num_queries_so_far();
-  const auto n = static_cast<std::size_t>(n_);
-
-  // CSR transpose in place of agent_offsets_, with no n-sized temporaries:
-  // count each agent's distinct queries, turn the counts into start
-  // offsets, fill while advancing each agent's start as its cursor (so it
-  // ends on the next agent's start), then shift the offsets back one slot.
-  auto& offsets = graph_.agent_offsets_;
-  offsets.assign(n + 1, 0);
-  for (Index j = 0; j < m; ++j) {
-    for (const Index agent : graph_.query_distinct(j)) {
-      ++offsets[static_cast<std::size_t>(agent)];
-    }
-  }
-  Index total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Index count = offsets[i];
-    offsets[i] = total;
-    total += count;
-  }
-  graph_.agent_query_ids_.resize(static_cast<std::size_t>(total));
-  for (Index j = 0; j < m; ++j) {
-    for (const Index agent : graph_.query_distinct(j)) {
-      graph_.agent_query_ids_[static_cast<std::size_t>(
-          offsets[static_cast<std::size_t>(agent)]++)] = j;
-    }
-  }
-  for (std::size_t i = n; i > 0; --i) {
-    offsets[i] = offsets[i - 1];
-  }
-  offsets[0] = 0;
-  // Query ids were appended in ascending j, so each agent's list is sorted.
-
   PoolingGraph result = std::move(graph_);
   graph_ = PoolingGraph{};
   graph_.n_ = n_;
-  graph_.delta_.assign(n, 0);
   return result;
 }
 

@@ -10,12 +10,12 @@
 /// neighborhood sum Δ_i times (its edge multiplicity) but each query result
 /// is forwarded to the agent only once (distinct neighborhoods Δ*_i).
 ///
-/// The graph is stored CSR-style in both directions:
-///   * per query: the sampled multiset (Γ entries) plus the deduplicated
-///     (distinct agent, multiplicity) list,
-///   * per agent: the list of distinct incident queries.
-/// Degrees Δ_i (with multiplicity) and Δ*_i (distinct) are precomputed —
-/// they are exactly the quantities of Lemmas 3 and 4.
+/// The graph stores only its query side, CSR-style: per query the sampled
+/// multiset (Γ entries) plus the deduplicated (distinct agent,
+/// multiplicity) list.  The agent-side quantities of Lemmas 3 and 4 — the
+/// degrees Δ_i (with multiplicity) and Δ*_i (distinct) — are what each
+/// agent accumulates from the results it receives, so they are counted
+/// from this query side by `core::ScoreState`, not stored here.
 
 #include <cstdint>
 #include <span>
@@ -56,23 +56,6 @@ class PoolingGraph {
   /// Multiplicities parallel to `query_distinct(j)`.
   [[nodiscard]] std::span<const Index> query_multiplicity(Index j) const;
 
-  /// Distinct queries ∂*x_i incident to agent `i`, ascending.
-  [[nodiscard]] std::span<const Index> agent_queries(Index i) const;
-
-  /// Δ_i: number of times agent `i` was sampled, over all queries.
-  [[nodiscard]] Index delta(Index i) const {
-    return delta_[static_cast<std::size_t>(i)];
-  }
-
-  /// Δ*_i: number of distinct queries containing agent `i`.
-  [[nodiscard]] Index delta_star(Index i) const {
-    return agent_offsets_[static_cast<std::size_t>(i) + 1] -
-           agent_offsets_[static_cast<std::size_t>(i)];
-  }
-
-  /// Multiplicity of agent `i` in query `j` (0 if absent).  O(log Γ*).
-  [[nodiscard]] Index multiplicity(Index j, Index i) const;
-
  private:
   friend class PoolingGraphBuilder;
 
@@ -84,10 +67,6 @@ class PoolingGraph {
   std::vector<Index> distinct_offsets_{0};
   std::vector<Index> distinct_agents_;
   std::vector<Index> distinct_counts_;
-  // Agent -> distinct queries (CSR) and multiplicity degree.
-  std::vector<Index> agent_offsets_;
-  std::vector<Index> agent_query_ids_;
-  std::vector<Index> delta_;
 };
 
 /// Incremental builder: queries are added one at a time — exactly the
@@ -121,14 +100,14 @@ class PoolingGraphBuilder {
 
   [[nodiscard]] Index num_queries_so_far() const;
 
-  /// Freeze into an immutable graph (builds the agent-side CSR).
-  /// The builder is left empty afterwards.
+  /// Hand the queries added so far over as an immutable graph.  The
+  /// builder is left empty afterwards.
   [[nodiscard]] PoolingGraph build();
 
  private:
   /// Census-dedup the already appended, range-checked edges
-  /// `query_agents_[begin, end)` into the distinct CSR, bump Δ, and close
-  /// the query.  Returns its id.
+  /// `query_agents_[begin, end)` into the distinct CSR and close the
+  /// query.  Returns its id.
   Index close_query(std::size_t begin);
 
   Index n_;

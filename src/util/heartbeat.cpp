@@ -48,7 +48,7 @@ std::optional<Heartbeat> from_json(const Json& doc) {
   Heartbeat heartbeat;
   const auto read_int = [&](const char* key, auto& out) {
     const Json* value = doc.find(key);
-    if (value == nullptr || !value->is_number()) {
+    if (value == nullptr || value->type() != Json::Type::Int) {
       return false;
     }
     out = static_cast<std::decay_t<decltype(out)>>(value->as_int());
@@ -67,7 +67,8 @@ std::optional<Heartbeat> from_json(const Json& doc) {
   const Json* updated = doc.find("updated_unix");
   const Json* done = doc.find("done");
   if (scenario == nullptr || !scenario->is_string() || updated == nullptr ||
-      !updated->is_number() || done == nullptr) {
+      !updated->is_number() || done == nullptr ||
+      done->type() != Json::Type::Bool) {
     return std::nullopt;
   }
   heartbeat.scenario = scenario->as_string();

@@ -116,8 +116,8 @@ Json histogram_to_json(const HistogramValue& histogram) {
 }
 
 std::int64_t require_int(const Json* value, const char* what) {
-  if (value == nullptr || !value->is_number()) {
-    throw std::invalid_argument(std::string("npd.metrics: missing numeric ") +
+  if (value == nullptr || value->type() != Json::Type::Int) {
+    throw std::invalid_argument(std::string("npd.metrics: missing integer ") +
                                 what);
   }
   return value->as_int();

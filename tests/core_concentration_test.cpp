@@ -187,8 +187,6 @@ TEST(ConservationTest, DegreeTotalsMatchGraph) {
   for (Index i = 0; i < instance.n(); ++i) {
     delta_total += scores.delta(i);
     delta_star_total += scores.delta_star(i);
-    EXPECT_EQ(scores.delta(i), instance.graph.delta(i));
-    EXPECT_EQ(scores.delta_star(i), instance.graph.delta_star(i));
   }
   EXPECT_EQ(delta_total, instance.graph.num_edges());
   Index distinct_total = 0;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -90,8 +91,15 @@ TEST(ScoreStateTest, ResetClearsEverything) {
   EXPECT_DOUBLE_EQ(state.psi(2), 1.0);
 }
 
+// Agent `i`'s multiplicity in query `j`, counted in the sampled multiset.
+Index multiplicity_in(const Instance& instance, Index j, Index i) {
+  const auto pool = instance.graph.query_multiset(j);
+  return static_cast<Index>(std::count(pool.begin(), pool.end(), i));
+}
+
 TEST(ScoreStateTest, PsiIdentityAgainstBruteForce) {
-  // Ψ_i must equal Σ over distinct queries containing i of the result.
+  // Ψ_i must equal Σ over distinct queries containing i of the result;
+  // Δ*_i and Δ_i count those queries without and with multiplicity.
   auto rng = test_rng(1);
   const auto channel = noise::make_gaussian_channel(0.5);
   const Instance instance =
@@ -101,15 +109,18 @@ TEST(ScoreStateTest, PsiIdentityAgainstBruteForce) {
   for (Index i = 0; i < instance.n(); ++i) {
     double expected = 0.0;
     Index expected_star = 0;
+    Index expected_delta = 0;
     for (Index j = 0; j < instance.m(); ++j) {
-      if (instance.graph.multiplicity(j, i) > 0) {
+      const Index multiplicity = multiplicity_in(instance, j, i);
+      if (multiplicity > 0) {
         expected += instance.results[static_cast<std::size_t>(j)];
         ++expected_star;
+        expected_delta += multiplicity;
       }
     }
     EXPECT_NEAR(state.psi(i), expected, 1e-9) << "agent " << i;
     EXPECT_EQ(state.delta_star(i), expected_star);
-    EXPECT_EQ(state.delta(i), instance.graph.delta(i));
+    EXPECT_EQ(state.delta(i), expected_delta);
   }
 }
 
@@ -205,14 +216,20 @@ TEST(ScoresNoiselessTest, NeighborhoodSumDecomposition) {
 
   for (Index i = 0; i < instance.n(); ++i) {
     double xi = 0.0;  // second-neighborhood observed ones
-    for (const Index j : instance.graph.agent_queries(i)) {
+    Index delta = 0;  // Δ_i, agent i's own edge count
+    for (Index j = 0; j < instance.m(); ++j) {
+      const Index multiplicity = multiplicity_in(instance, j, i);
+      if (multiplicity == 0) {
+        continue;
+      }
       xi += instance.results[static_cast<std::size_t>(j)] -
-            static_cast<double>(instance.graph.multiplicity(j, i)) *
+            static_cast<double>(multiplicity) *
                 instance.truth.bits[static_cast<std::size_t>(i)];
+      delta += multiplicity;
     }
     const double self_term =
         instance.truth.bits[static_cast<std::size_t>(i)] != 0
-            ? static_cast<double>(instance.graph.delta(i))
+            ? static_cast<double>(delta)
             : 0.0;
     EXPECT_NEAR(state.psi(i), xi + self_term, 1e-9);
   }

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "amp/amp.hpp"
 #include "core/evaluation.hpp"
@@ -177,15 +179,12 @@ TEST(DistributedTopKTest, DegenerateKValues) {
 
 // -------------------------------------------------------- distributed AMP
 
-class DistributedAmpTest : public ::testing::TestWithParam<Scenario> {};
-
-TEST_P(DistributedAmpTest, BitIdenticalToCentralizedAmp) {
-  const Scenario s = GetParam();
-  rand::Rng rng(s.seed + 1000);
-  const auto channel = make_channel(s.channel);
-  const core::Instance instance = core::make_instance(
-      s.n, s.k, s.m, pooling::paper_design(s.n), *channel, rng);
-  const auto lin = channel->linearization(s.n, s.k, s.n / 2);
+// Centralized and distributed AMP on `instance`, with the same iteration
+// budget, must agree bit for bit.
+void expect_amp_bit_identical(const core::Instance& instance,
+                              const noise::NoiseChannel& channel,
+                              Index gamma) {
+  const auto lin = channel.linearization(instance.n(), instance.k(), gamma);
   const amp::AmpProblem problem = amp::standardize(instance, lin);
   const amp::BayesBernoulliDenoiser denoiser(problem.pi);
 
@@ -201,6 +200,17 @@ TEST_P(DistributedAmpTest, BitIdenticalToCentralizedAmp) {
   EXPECT_EQ(distributed.estimate, centralized.estimate);
 }
 
+class DistributedAmpTest : public ::testing::TestWithParam<Scenario> {};
+
+TEST_P(DistributedAmpTest, BitIdenticalToCentralizedAmp) {
+  const Scenario s = GetParam();
+  rand::Rng rng(s.seed + 1000);
+  const auto channel = make_channel(s.channel);
+  const core::Instance instance = core::make_instance(
+      s.n, s.k, s.m, pooling::paper_design(s.n), *channel, rng);
+  expect_amp_bit_identical(instance, *channel, s.n / 2);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, DistributedAmpTest,
     ::testing::Values(Scenario{64, 4, 30, "noiseless", 11},
@@ -213,6 +223,31 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.n) + "_m" +
              std::to_string(info.param.m);
     });
+
+// A sparse fixed-size design (Γ = n/20 at small m) leaves agents in no
+// query, whose column of A is all zeros; the paper's Γ = n/2 almost never
+// does.
+TEST(DistributedAmpSparseTest, BitIdenticalWithUnqueriedAgents) {
+  const Index n = 200;
+  const Index k = 4;
+  const Index m = 12;
+  rand::Rng rng(1016);
+  const auto channel = make_channel("z");
+  const pooling::QueryDesign design = pooling::fractional_design(
+      n, 0.05, pooling::SamplingMode::WithReplacement);
+  const core::Instance instance =
+      core::make_instance(n, k, m, design, *channel, rng);
+
+  std::vector<bool> queried(static_cast<std::size_t>(n), false);
+  for (Index j = 0; j < m; ++j) {
+    for (const Index i : instance.graph.query_distinct(j)) {
+      queried[static_cast<std::size_t>(i)] = true;
+    }
+  }
+  ASSERT_NE(std::find(queried.begin(), queried.end(), false), queried.end())
+      << "the sparse case must leave at least one agent unqueried";
+  expect_amp_bit_identical(instance, *channel, design.gamma);
+}
 
 TEST(DistributedAmpCostTest, IterationTrafficIsDense) {
   rand::Rng rng(99);

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "core/theory.hpp"
+#include "graph_degrees.hpp"
 #include "pooling/pooling_graph.hpp"
 #include "pooling/query_design.hpp"
 #include "rand/rng.hpp"
@@ -41,10 +42,11 @@ TEST_P(DegreeConcentrationTest, Lemma3DeltaConcentratesAroundHalfM) {
   const double slack =
       std::log(static_cast<double>(point.n)) * std::sqrt(expected);
 
+  const auto degrees = test::graph_degrees(g);
   for (Index i = 0; i < g.num_agents(); ++i) {
-    EXPECT_GE(static_cast<double>(g.delta(i)), expected - slack)
+    EXPECT_GE(static_cast<double>(degrees.delta(i)), expected - slack)
         << "agent " << i << " under-sampled";
-    EXPECT_LE(static_cast<double>(g.delta(i)), expected + slack)
+    EXPECT_LE(static_cast<double>(degrees.delta(i)), expected + slack)
         << "agent " << i << " over-sampled";
   }
 }
@@ -57,11 +59,12 @@ TEST_P(DegreeConcentrationTest, Lemma4DeltaStarRatioIsTwoGamma) {
 
   // Δ*_i / Δ_i ≈ 2γ = 2(1 − e^{−1/2}) ≈ 0.7869, up to O(ln n/√Δ) noise.
   const double two_gamma = 2.0 * core::theory::gamma_constant();
+  const auto degrees = test::graph_degrees(g);
   double ratio_sum = 0.0;
   for (Index i = 0; i < g.num_agents(); ++i) {
-    ASSERT_GT(g.delta(i), 0);
-    ratio_sum +=
-        static_cast<double>(g.delta_star(i)) / static_cast<double>(g.delta(i));
+    ASSERT_GT(degrees.delta(i), 0);
+    ratio_sum += static_cast<double>(degrees.delta_star(i)) /
+                 static_cast<double>(degrees.delta(i));
   }
   const double mean_ratio = ratio_sum / static_cast<double>(g.num_agents());
   EXPECT_NEAR(mean_ratio, two_gamma, 0.05);
@@ -76,9 +79,10 @@ TEST_P(DegreeConcentrationTest, Corollary5DeltaStarMean) {
   // E[Δ*] = γ·m: each query misses agent i with prob (1 − 1/n)^Γ ≈ e^{-1/2}.
   const double expected =
       core::theory::gamma_constant() * static_cast<double>(point.m);
+  const auto degrees = test::graph_degrees(g);
   double sum = 0.0;
   for (Index i = 0; i < g.num_agents(); ++i) {
-    sum += static_cast<double>(g.delta_star(i));
+    sum += static_cast<double>(degrees.delta_star(i));
   }
   const double mean_delta_star = sum / static_cast<double>(g.num_agents());
   EXPECT_NEAR(mean_delta_star / expected, 1.0, 0.05);

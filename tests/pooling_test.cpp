@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "graph_degrees.hpp"
 #include "pooling/ground_truth.hpp"
 #include "pooling/pooling_graph.hpp"
 #include "pooling/query_design.hpp"
@@ -28,9 +29,6 @@ struct GraphViews {
   std::vector<std::vector<Index>> multiset;
   std::vector<std::vector<Index>> distinct;
   std::vector<std::vector<Index>> multiplicity;
-  std::vector<std::vector<Index>> agent_queries;
-  std::vector<Index> delta;
-  std::vector<Index> delta_star;
 };
 
 std::vector<Index> to_vector(std::span<const Index> view) {
@@ -45,24 +43,16 @@ GraphViews views_of(const PoolingGraph& g) {
     v.distinct.push_back(to_vector(g.query_distinct(j)));
     v.multiplicity.push_back(to_vector(g.query_multiplicity(j)));
   }
-  for (Index i = 0; i < g.num_agents(); ++i) {
-    v.agent_queries.push_back(to_vector(g.agent_queries(i)));
-    v.delta.push_back(g.delta(i));
-    v.delta_star.push_back(g.delta_star(i));
-  }
   return v;
 }
 
 // Reference oracle: the sort-based dedup the builder used before its
-// census — copy each multiset, sort it, run-length encode the runs — plus
-// a naive agent-side transpose.
+// census — copy each multiset, sort it, run-length encode the runs.
 GraphViews reference_views(Index n,
                            const std::vector<std::vector<Index>>& multisets) {
   GraphViews v;
   v.n = n;
   v.multiset = multisets;
-  v.agent_queries.assign(static_cast<std::size_t>(n), {});
-  v.delta.assign(static_cast<std::size_t>(n), 0);
   for (std::size_t j = 0; j < multisets.size(); ++j) {
     std::vector<Index> sorted = multisets[j];
     std::sort(sorted.begin(), sorted.end());
@@ -75,17 +65,10 @@ GraphViews reference_views(Index n,
       }
       distinct.push_back(sorted[i]);
       counts.push_back(static_cast<Index>(run - i));
-      v.agent_queries[static_cast<std::size_t>(sorted[i])].push_back(
-          static_cast<Index>(j));
-      v.delta[static_cast<std::size_t>(sorted[i])] +=
-          static_cast<Index>(run - i);
       i = run;
     }
     v.distinct.push_back(std::move(distinct));
     v.multiplicity.push_back(std::move(counts));
-  }
-  for (const auto& queries : v.agent_queries) {
-    v.delta_star.push_back(static_cast<Index>(queries.size()));
   }
   return v;
 }
@@ -95,9 +78,6 @@ void expect_same_views(const GraphViews& got, const GraphViews& want) {
   EXPECT_EQ(got.multiset, want.multiset);
   EXPECT_EQ(got.distinct, want.distinct);
   EXPECT_EQ(got.multiplicity, want.multiplicity);
-  EXPECT_EQ(got.agent_queries, want.agent_queries);
-  EXPECT_EQ(got.delta, want.delta);
-  EXPECT_EQ(got.delta_star, want.delta_star);
 }
 
 /// The graph's derived views must equal the reference dedup of its own
@@ -347,37 +327,14 @@ TEST(PoolingGraphTest, DegreesAccumulateAcrossQueries) {
   PoolingGraphBuilder builder(5);
   (void)builder.add_query(std::vector<Index>{0, 0, 1});
   (void)builder.add_query(std::vector<Index>{0, 2});
-  const PoolingGraph g = builder.build();
+  const auto degrees = test::graph_degrees(builder.build());
 
-  EXPECT_EQ(g.delta(0), 3);       // sampled 2 + 1 times
-  EXPECT_EQ(g.delta_star(0), 2);  // in 2 distinct queries
-  EXPECT_EQ(g.delta(1), 1);
-  EXPECT_EQ(g.delta_star(1), 1);
-  EXPECT_EQ(g.delta(3), 0);
-  EXPECT_EQ(g.delta_star(3), 0);
-}
-
-TEST(PoolingGraphTest, AgentQueriesIsTransposeOfQueryDistinct) {
-  auto rng = test_rng(8);
-  const PoolingGraph g = make_pooling_graph(40, 25, paper_design(40), rng);
-
-  for (Index i = 0; i < g.num_agents(); ++i) {
-    for (const Index j : g.agent_queries(i)) {
-      const auto distinct = g.query_distinct(j);
-      EXPECT_TRUE(std::binary_search(distinct.begin(), distinct.end(), i));
-    }
-  }
-  Index total_agent_side = 0;
-  for (Index i = 0; i < g.num_agents(); ++i) {
-    total_agent_side += g.delta_star(i);
-    EXPECT_TRUE(std::is_sorted(g.agent_queries(i).begin(),
-                               g.agent_queries(i).end()));
-  }
-  Index total_query_side = 0;
-  for (Index j = 0; j < g.num_queries(); ++j) {
-    total_query_side += static_cast<Index>(g.query_distinct(j).size());
-  }
-  EXPECT_EQ(total_agent_side, total_query_side);
+  EXPECT_EQ(degrees.delta(0), 3);       // sampled 2 + 1 times
+  EXPECT_EQ(degrees.delta_star(0), 2);  // in 2 distinct queries
+  EXPECT_EQ(degrees.delta(1), 1);
+  EXPECT_EQ(degrees.delta_star(1), 1);
+  EXPECT_EQ(degrees.delta(3), 0);
+  EXPECT_EQ(degrees.delta_star(3), 0);
 }
 
 TEST(PoolingGraphTest, EdgeCountIsMGamma) {
@@ -386,9 +343,10 @@ TEST(PoolingGraphTest, EdgeCountIsMGamma) {
   const PoolingGraph g = make_pooling_graph(50, 12, d, rng);
   EXPECT_EQ(g.num_edges(), 12 * d.gamma);
 
+  const auto degrees = test::graph_degrees(g);
   Index delta_sum = 0;
   for (Index i = 0; i < g.num_agents(); ++i) {
-    delta_sum += g.delta(i);
+    delta_sum += degrees.delta(i);
   }
   EXPECT_EQ(delta_sum, g.num_edges());
 }
@@ -396,19 +354,11 @@ TEST(PoolingGraphTest, EdgeCountIsMGamma) {
 TEST(PoolingGraphTest, DeltaStarNeverExceedsDelta) {
   auto rng = test_rng(10);
   const PoolingGraph g = make_pooling_graph(60, 30, paper_design(60), rng);
+  const auto degrees = test::graph_degrees(g);
   for (Index i = 0; i < g.num_agents(); ++i) {
-    EXPECT_LE(g.delta_star(i), g.delta(i));
-    EXPECT_LE(g.delta_star(i), g.num_queries());
+    EXPECT_LE(degrees.delta_star(i), degrees.delta(i));
+    EXPECT_LE(degrees.delta_star(i), g.num_queries());
   }
-}
-
-TEST(PoolingGraphTest, MultiplicityLookup) {
-  PoolingGraphBuilder builder(6);
-  (void)builder.add_query(std::vector<Index>{2, 2, 5});
-  const PoolingGraph g = builder.build();
-  EXPECT_EQ(g.multiplicity(0, 2), 2);
-  EXPECT_EQ(g.multiplicity(0, 5), 1);
-  EXPECT_EQ(g.multiplicity(0, 0), 0);
 }
 
 TEST(PoolingGraphTest, BuilderRejectsBadAgents) {
@@ -447,7 +397,7 @@ TEST(PoolingGraphTest, BuilderIsReusableAfterBuild) {
   (void)builder.add_query(std::vector<Index>{4, 4});
   const PoolingGraph second = builder.build();
   EXPECT_EQ(second.num_queries(), 2);
-  EXPECT_EQ(second.delta(4), 2);
+  EXPECT_EQ(test::graph_degrees(second).delta(4), 2);
 }
 
 TEST(PoolingGraphTest, IncrementalEqualsBatch) {
@@ -528,8 +478,9 @@ TEST(PoolingGraphReferenceTest, DoublyRegularMatchesSortedDedup) {
     const PoolingGraph g =
         make_doubly_regular_graph(n, std::min<Index>(n * delta, 40), delta, rng);
     expect_matches_reference(g);
-    EXPECT_EQ(g.delta(0), delta);
-    EXPECT_EQ(g.delta(n - 1), delta);
+    const auto degrees = test::graph_degrees(g);
+    EXPECT_EQ(degrees.delta(0), delta);
+    EXPECT_EQ(degrees.delta(n - 1), delta);
   }
 }
 
@@ -540,8 +491,9 @@ TEST(PoolingGraphReferenceTest, ConstantColumnWeightMatchesSortedDedup) {
     const PoolingGraph g = make_constant_column_weight_graph(n, 30, 4, rng);
     expect_matches_reference(g);
     // Every agent joins 4 queries; padding of empty queries may add more.
-    EXPECT_GE(g.delta_star(0), 4);
-    EXPECT_GE(g.delta_star(n - 1), 4);
+    const auto degrees = test::graph_degrees(g);
+    EXPECT_GE(degrees.delta_star(0), 4);
+    EXPECT_GE(degrees.delta_star(n - 1), 4);
   }
 }
 
@@ -569,9 +521,10 @@ TEST(PoolingGraphReferenceTest, SparseQueriesMatchSortedDedup) {
 TEST(CcwGraphTest, EveryAgentHasExactWeight) {
   auto rng = test_rng(12);
   const PoolingGraph g = make_constant_column_weight_graph(50, 20, 5, rng);
+  const auto degrees = test::graph_degrees(g);
   for (Index i = 0; i < g.num_agents(); ++i) {
-    EXPECT_EQ(g.delta_star(i), 5);
-    EXPECT_GE(g.delta(i), 5);  // padding may add at most a few more
+    EXPECT_EQ(degrees.delta_star(i), 5);
+    EXPECT_GE(degrees.delta(i), 5);  // padding may add at most a few more
   }
 }
 

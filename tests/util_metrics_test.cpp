@@ -161,6 +161,18 @@ TEST_F(MetricsTest, SnapshotJsonRoundTrips) {
                std::invalid_argument);
 }
 
+// A fractional counter is a malformed document: the documented
+// std::invalid_argument, not a contract violation from Json::as_int.
+TEST_F(MetricsTest, FractionalCounterIsRejectedAsMalformed) {
+  Json counters = Json::object();
+  counters.set("jobs.done", 1.5);
+  Json doc = Json::object();
+  doc.set("schema", "npd.metrics/1").set("counters", std::move(counters));
+  EXPECT_THROW((void)metrics::snapshot_from_json(doc), std::invalid_argument);
+  EXPECT_THROW((void)metrics::merge_snapshot_docs({doc}),
+               std::invalid_argument);
+}
+
 TEST_F(MetricsTest, MergedShardDocsEqualOneProcessRecordingEverything) {
   // Record workload A and B in separate "shards" (reset between), then
   // both in one registry: the merged documents must be bit-identical to

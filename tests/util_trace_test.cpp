@@ -270,5 +270,17 @@ TEST_F(HeartbeatTest, JsonCarriesSchemaTag) {
   EXPECT_EQ(parsed->jobs_total, 9);
 }
 
+// Well-formed JSON with a mistyped field is malformed telemetry too: it
+// reads as "no heartbeat" instead of throwing from the typed accessors.
+TEST_F(HeartbeatTest, MistypedFieldsReadAsNone) {
+  Json fractional = heartbeat::to_json(sample_heartbeat());
+  fractional.set("jobs_done", 2.5);
+  EXPECT_FALSE(heartbeat::from_json(fractional).has_value());
+
+  Json numeric_done = heartbeat::to_json(sample_heartbeat());
+  numeric_done.set("done", 1);
+  EXPECT_FALSE(heartbeat::from_json(numeric_done).has_value());
+}
+
 }  // namespace
 }  // namespace npd
